@@ -5,6 +5,9 @@
 //   ./run_file [--bound N] [--por MODE] [--dot]
 //              [--telemetry PATH] [--trace-out PATH] [--progress[=ms]]
 //              file.litmus
+//
+// A search cut short by the state budget decides nothing: its verdict is
+// printed as unknown, never as unreachable or race free.
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -14,6 +17,17 @@
 
 using namespace rc11;
 
+namespace {
+
+constexpr const char* kExitCodes =
+    "exit codes: 0 decided, no forbidden outcome reachable; 1 bad input;\n"
+    "  2 a forbidden outcome is reachable; 3 a verdict is unknown (state\n"
+    "  budget hit) and no forbidden outcome was found\n";
+
+constexpr const char* kUnknown = "unknown (state budget hit)";
+
+}  // namespace
+
 int main(int argc, char** argv) {
   util::Cli cli;
   cli.option("bound", "4", "loop unfolding bound");
@@ -22,15 +36,17 @@ int main(int argc, char** argv) {
              "optimal|optimal-parsimonious");
   cli.flag("dot", "dump a Graphviz rendering of one final execution");
   obs::TelemetryCli::add_options(cli);
-  if (!cli.parse(argc, argv) || cli.positional().empty()) {
+  const bool parsed_args = cli.parse(argc, argv);
+  if (parsed_args && cli.help_requested()) {
+    std::cout << cli.usage("run_file") << "  <file.litmus>\n" << kExitCodes;
+    return 0;
+  }
+  if (!parsed_args || cli.positional().empty()) {
     std::cerr << (cli.error().empty() ? "missing input file" : cli.error())
               << "\n"
-              << cli.usage("run_file") << "  <file.litmus>\n";
+              << cli.usage("run_file") << "  <file.litmus>\n"
+              << kExitCodes;
     return 1;
-  }
-  if (cli.help_requested()) {
-    std::cout << cli.usage("run_file");
-    return 0;
   }
 
   std::ifstream in(cli.positional()[0]);
@@ -73,11 +89,15 @@ int main(int argc, char** argv) {
     std::cout << "  " << o.to_string(parsed.program) << "\n";
   }
 
-  int exit_code = 0;
+  bool unknown = false;
+  bool forbidden_reachable = false;
   if (parsed.mode != lang::CondMode::kNone) {
     const mc::ReachabilityResult r =
         mc::check_reachable(parsed.program, parsed.condition, opts);
-    const char* verdict = r.reachable ? "reachable" : "unreachable";
+    unknown = !r.reachable && r.stats.truncated;
+    const char* verdict = r.reachable ? "reachable"
+                          : unknown   ? kUnknown
+                                      : "unreachable";
     std::cout << "\ncondition " << parsed.condition->to_string(&parsed.program)
               << ": " << verdict << "\n";
     if (r.reachable) {
@@ -85,13 +105,18 @@ int main(int argc, char** argv) {
     }
     if (parsed.mode == lang::CondMode::kForbidden && r.reachable) {
       std::cout << "FORBIDDEN OUTCOME IS REACHABLE\n";
-      exit_code = 2;
+      forbidden_reachable = true;
     }
   }
 
   const mc::RaceResult race = mc::check_race_free(parsed.program, opts);
+  const bool race_undecided = race.race_free && race.stats.truncated;
+  unknown = unknown || race_undecided;
   std::cout << "\nrace check: "
-            << (race.race_free ? "race free" : "RACY — " + race.race) << "\n";
+            << (!race.race_free   ? "RACY — " + race.race
+                : race_undecided ? std::string(kUnknown)
+                                 : "race free")
+            << "\n";
 
   if (cli.get_flag("dot")) {
     mc::Visitor v;
@@ -102,5 +127,6 @@ int main(int argc, char** argv) {
     (void)mc::explore(parsed.program, opts, v);
   }
   if (!tcli.finish()) return 1;
-  return exit_code;
+  if (forbidden_reachable) return 2;
+  return unknown ? 3 : 0;
 }

@@ -136,6 +136,14 @@ class Execution {
   void ensure_cache();
   [[nodiscard]] bool cache_valid() const { return cache_.valid; }
 
+  /// The maintained hb, or null while the cache is invalid (before the
+  /// first cached query, after a raw mutation). Const, so observers that
+  /// only see a const Execution, such as explorer visitors, read hb
+  /// without triggering a rebuild.
+  [[nodiscard]] const util::Relation* hb_if_cached() const {
+    return cache_.valid ? &cache_.hb : nullptr;
+  }
+
   /// Cached derived state (ensure_cache() is called internally).
   [[nodiscard]] const util::Relation& cached_hb();
   [[nodiscard]] const util::Relation& cached_eco();

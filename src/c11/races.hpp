@@ -39,6 +39,7 @@ struct DataRace {
 };
 
 /// True iff a and b conflict: same variable, at least one write, distinct.
+/// Fences access no variable, so they conflict with nothing.
 [[nodiscard]] bool conflicting(const Execution& ex, EventId a, EventId b);
 
 /// Finds a data race in the execution, if any (lowest tag pair first).
@@ -48,9 +49,17 @@ struct DataRace {
 /// Convenience overload recomputing the derived relations.
 [[nodiscard]] std::optional<DataRace> find_race(const Execution& ex);
 
-/// Incremental form used by the model checker: does the newest event
-/// `e` race with any existing event? (Races only ever appear when their
-/// later event is added, so checking each new event suffices.)
+/// Does event `e` race with any other event, given happens-before `hb`?
+/// The model checker (mc::check_race_free) calls it on the newest event of
+/// every visited state, passing the hb that push_event maintains
+/// (Execution::hb_if_cached): each step appends one event and adds only hb
+/// edges into it, so a race is completed by its later event and never
+/// appears between two older ones.
+[[nodiscard]] std::optional<DataRace> race_with(const Execution& ex,
+                                                const util::Relation& hb,
+                                                EventId e);
+
+/// As above, reading hb from a from-scratch snapshot.
 [[nodiscard]] std::optional<DataRace> race_with(const Execution& ex,
                                                 const DerivedRelations& d,
                                                 EventId e);

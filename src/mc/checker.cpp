@@ -2,8 +2,6 @@
 
 #include <sstream>
 
-#include "c11/races.hpp"
-
 namespace rc11::mc {
 
 InvariantResult check_invariant(const lang::Program& program,
@@ -93,19 +91,40 @@ OutcomeResult enumerate_outcomes(const lang::Program& program,
   return result;
 }
 
+std::optional<c11::DataRace> newest_event_race(const c11::Execution& ex) {
+  if (ex.size() == 0) return std::nullopt;
+  const auto e = static_cast<c11::EventId>(ex.size() - 1);
+  // Init writes are sb-before every other event, so they never race.
+  if (ex.event(e).is_init()) return std::nullopt;
+  if (const util::Relation* hb = ex.hb_if_cached()) {
+    return c11::race_with(ex, *hb, e);
+  }
+  return c11::race_with(ex, c11::compute_derived(ex), e);
+}
+
+// Checking only each visited state's newest event finds a race whenever a
+// visited state is racy. A step appends at most one event and adds edges
+// into it only (Section 3.2), so hb between older events never changes.
+// Take a visited racy state S with the fewest events, and among those the
+// one first inserted into the seen set. Suppose S's newest event races
+// nothing. Then S's race lies between events its parent P on the visiting
+// path also has, with the same hb, so P is racy. P was visited, or merged
+// into an isomorphic copy that was visited, and isomorphic states race
+// alike. That copy or P precedes S: it has one event fewer if the step into
+// S appended one, and was inserted earlier if the step was silent. Either
+// way the choice of S is contradicted. The root cannot be S: it holds only
+// init writes. Every engine visits a racy state when the program has a race
+// (DPOR keeps one interleaving of every maximal execution, and races
+// persist as events are added), so the verdict matches a check of every
+// event against every other.
 RaceResult check_race_free(const lang::Program& program,
                            ExploreOptions options) {
   RaceResult result;
   Visitor visitor;
-  visitor.on_transition = [&](const interp::Config&,
-                              const interp::ConfigStep& step) {
-    if (step.silent) return true;
-    // A race's later event is the one just added, so checking each new
-    // event against the existing ones covers every race exactly once.
-    const c11::DerivedRelations d = c11::compute_derived(step.next.exec);
-    if (auto race = c11::race_with(step.next.exec, d, step.event)) {
+  visitor.on_state = [&](const interp::Config& c) {
+    if (auto race = newest_event_race(c.exec)) {
       result.race_free = false;
-      result.race = race->to_string(step.next.exec, &program.vars());
+      result.race = race->to_string(c.exec, &program.vars());
       return false;
     }
     return true;

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "c11/races.hpp"
 #include "mc/explorer.hpp"
 
 namespace rc11::mc {
@@ -80,6 +81,9 @@ struct OutcomeResult {
 /// Data-race freedom (extension; c11/races.hpp): explores all executions
 /// and reports the first race between a non-atomic access and a
 /// conflicting unordered access. A racy program has undefined behaviour.
+/// The race is found at a visited state, which the search counts (stats
+/// include it) and `trace` leads to. With stats.truncated set and no race
+/// found, the verdict is unknown, not race free.
 struct RaceResult {
   bool race_free = true;
   std::string race;  ///< description of the first race found
@@ -89,5 +93,12 @@ struct RaceResult {
 
 [[nodiscard]] RaceResult check_race_free(const lang::Program& program,
                                          ExploreOptions options = {});
+
+/// The test both race checkers run from Visitor::on_state: a race between
+/// the newest event of `ex` and an older one. Init writes are skipped. hb
+/// comes from the maintained cache, or from compute_derived while the cache
+/// is invalid (the pre-execution semantics).
+[[nodiscard]] std::optional<c11::DataRace> newest_event_race(
+    const c11::Execution& ex);
 
 }  // namespace rc11::mc

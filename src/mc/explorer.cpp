@@ -452,8 +452,11 @@ ExploreResult explore_from(const interp::Config& start,
   }
   // on_transition contracts a materialized ConfigStep per transition, and
   // the pre-execution semantics enumerates through pe_successors; both go
-  // through the copying oracle path. Everything else runs on the
-  // apply/undo spine.
+  // through the copying oracle path. No query in checker.hpp hooks
+  // on_transition (the race query checks each visited state's newest event
+  // from on_state), so they all run on the apply/undo spine; among the
+  // library's own visitors only vcgen's rule-soundness sweep takes the
+  // oracle path.
   //
   // Telemetry: the sequential engines run under a single WorkerScope (track
   // 0); the profile delta against the run-start baseline supports a shared

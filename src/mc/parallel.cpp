@@ -83,26 +83,20 @@ struct ParallelRun {
   std::atomic<std::size_t> transitions{0};
   std::atomic<bool> truncated{false};
 
-  /// First violating / witnessing state, for trace reconstruction. When
-  /// the hit is a transition (race checking), hit_step is the successor
-  /// index to append to the path ending at hit_state.
+  /// First violating / witnessing state, for trace reconstruction.
   std::mutex hit_mutex;
   StateId hit_state = kNoState;
-  std::int64_t hit_step = -1;
   bool hit_found = false;
 
   // Callbacks returning false record the hit and set stop.
   std::function<bool(const interp::Config&)> on_state;
   std::function<bool(const interp::Config&)> on_final;
-  std::function<bool(const interp::Config&, const interp::ConfigStep&)>
-      on_transition;
 
-  void record_hit(StateId id, std::int64_t step = -1) {
+  void record_hit(StateId id) {
     std::lock_guard lock(hit_mutex);
     if (!hit_found) {
       hit_found = true;
       hit_state = id;
-      hit_step = step;
     }
     stop.store(true, std::memory_order_release);
   }
@@ -168,8 +162,6 @@ void position(ParallelRun& run, Cursor& cur, const WorkItem& item) {
 /// index) with no Config attached, so the handoff itself copies nothing.
 /// The popping worker re-derives the state via position() — one apply in
 /// the LIFO common case, a suffix replay after an actual deque steal.
-/// Visitors observing transitions (on_transition materializes a ConfigStep
-/// per edge) fall back to the copying oracle path.
 void process(ParallelRun& run, std::size_t me, Cursor& cur, WorkItem item) {
   WorkerStats& ws = run.worker_stats[me];
   ExploreStats& my = run.totals[me].stats;
@@ -204,73 +196,6 @@ void process(ParallelRun& run, std::size_t me, Cursor& cur, WorkItem item) {
     w.path.push_back(static_cast<std::uint32_t>(step_index));
     return w;
   };
-
-  if (run.on_transition) {
-    // Materialized fallback: the callback observes ConfigStep.next.
-    auto steps = [&] {
-      obs::ScopedPhase enum_phase(obs::Phase::kEnumerate);
-      return interp::successors(cur.config, run.options.step);
-    }();
-    std::vector<StepSig> sigs;
-    if (run.por_sleep) sigs_of(steps, cur.config.exec, sigs, cur.config.has_sc_fence);
-    for (std::size_t i = 0; i < steps.size(); ++i) {
-      if (run.por_sleep && sleep_contains(item.sleep, sigs[i])) {
-        ++my.por_pruned;
-        continue;
-      }
-      run.transitions.fetch_add(1, std::memory_order_relaxed);
-      if (!run.on_transition(cur.config, steps[i])) {
-        run.record_hit(item.id, static_cast<std::int64_t>(i));
-        return;
-      }
-      const util::Fingerprint fp = steps[i].next.fingerprint();
-      if (!run.por_sleep) {
-        InsertResult ins;
-        {
-          obs::ScopedPhase probe_phase(obs::Phase::kSeenProbe);
-          ins = run.seen.insert(fp, item.id, static_cast<std::uint32_t>(i));
-        }
-        if (!ins.inserted) {
-          ++my.merged;
-          ++ws.merged;
-          continue;
-        }
-        ++ws.enqueued;
-        push_local(run, me, child_item(ins.id, i));
-        continue;
-      }
-      SleepSet succ_sleep = successor_sleep(item.sleep, sigs, i);
-      const std::size_t shard =
-          fp.shard_bits() & (ParallelRun::kSleepShards - 1);
-      std::lock_guard sleep_lock(run.sleep_mutexes[shard]);
-      InsertResult ins;
-      {
-        obs::ScopedPhase probe_phase(obs::Phase::kSeenProbe);
-        ins = run.seen.insert(fp, item.id, static_cast<std::uint32_t>(i));
-      }
-      if (ins.inserted) {
-        run.sleep_store[shard][ins.id] = succ_sleep;
-        ++ws.enqueued;
-        WorkItem w = child_item(ins.id, i);
-        w.sleep = std::move(succ_sleep);
-        push_local(run, me, std::move(w));
-        continue;
-      }
-      SleepSet& stored = run.sleep_store[shard][ins.id];
-      if (is_subset(stored, succ_sleep)) {
-        ++my.merged;
-        ++ws.merged;
-        continue;
-      }
-      stored = intersection(stored, succ_sleep);
-      ++ws.enqueued;
-      WorkItem w = child_item(ins.id, i);
-      w.sleep = stored;
-      w.revisit = true;
-      push_local(run, me, std::move(w));
-    }
-    return;
-  }
 
   // In-place expansion (per-worker buffers reused across items).
   thread_local std::vector<interp::Step> steps;
@@ -457,20 +382,14 @@ ExploreStats run_parallel(const lang::Program& program, ParallelRun& run) {
   return stats;
 }
 
-/// Rebuilds the path root -> `leaf` (plus the recorded extra step, when
-/// the hit was a transition) from the parent records and replays it
-/// through successors(), which enumerates steps deterministically — the
-/// recorded step indices select the same transitions the explorer took.
-/// `final_config`, when non-null, receives the configuration the trace
-/// leads to.
+/// Rebuilds the path root -> `leaf` from the parent records and replays it
+/// through enumerate_steps(), which enumerates steps deterministically —
+/// the recorded step indices select the same transitions the explorer
+/// took.
 Trace reconstruct_trace(const ParallelRun& run, const lang::Program& program,
-                        StateId leaf, std::int64_t extra_step = -1,
-                        interp::Config* final_config = nullptr) {
+                        StateId leaf) {
   if (leaf == kNoState) return {};
   std::vector<std::uint32_t> step_indices;
-  if (extra_step >= 0) {
-    step_indices.push_back(static_cast<std::uint32_t>(extra_step));
-  }
   for (StateId id = leaf;;) {
     const StateRecord rec = run.seen.record(id);
     if (rec.parent == kNoState) break;
@@ -488,7 +407,6 @@ Trace reconstruct_trace(const ParallelRun& run, const lang::Program& program,
     trace.entries.push_back(make_entry(steps[i]));
     (void)interp::apply_step(c, steps[i], run.options.step);  // forward only
   }
-  if (final_config != nullptr) *final_config = std::move(c);
   return trace;
 }
 
@@ -518,8 +436,8 @@ ExploreResult run_dpor(const lang::Program& program,
   return r;
 }
 
-/// A race of the execution the reported trace leads to (the checker
-/// aborts on the transition that completed a race, so one exists).
+/// A race of the execution the reported trace leads to (the checker stops
+/// at the visited state whose newest event races, so one exists).
 std::string race_of_trace(const lang::Program& program, const Trace& trace,
                           interp::StepOptions sopts) {
   const auto final_config = replay_trace(program, trace, sopts);
@@ -611,18 +529,15 @@ RaceResult check_race_free_parallel(const lang::Program& program,
                                     const ParallelOptions& options,
                                     ParallelRunInfo* info) {
   RaceResult result;
-  const auto race_step = [](const interp::Config&,
-                            const interp::ConfigStep& step) {
-    if (step.silent) return true;
-    // A race's later event is the one just added, so checking each new
-    // event against the existing ones covers every race exactly once.
-    const c11::DerivedRelations d = c11::compute_derived(step.next.exec);
-    return !c11::race_with(step.next.exec, d, step.event).has_value();
+  // The newest-event test of check_race_free (see there for why it finds
+  // every racy program), run from on_state by every worker.
+  const auto race_free_state = [](const interp::Config& c) {
+    return !newest_event_race(c.exec).has_value();
   };
 
   if (is_dpor(options.explore.por)) {
     Visitor visitor;
-    visitor.on_transition = race_step;
+    visitor.on_state = race_free_state;
     ExploreResult er = run_dpor(program, options, visitor, info);
     result.stats = er.stats;
     result.race_free = !er.aborted;
@@ -637,12 +552,11 @@ RaceResult check_race_free_parallel(const lang::Program& program,
   }
 
   ParallelRun run(options.explore, worker_count(options));
-  run.on_transition = race_step;
+  run.on_state = race_free_state;
   result.stats = run_parallel(program, run);
   result.race_free = !run.hit_found;
   if (run.hit_found) {
-    result.trace =
-        reconstruct_trace(run, program, run.hit_state, run.hit_step);
+    result.trace = reconstruct_trace(run, program, run.hit_state);
     result.race = race_of_trace(program, result.trace, run.options.step);
   }
   export_info(run, info);

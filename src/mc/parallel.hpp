@@ -7,9 +7,9 @@
 // workers share one fingerprint table (ConcurrentSeenSet) whose
 // parent-pointer records — (parent StateId, successor index) per state —
 // let the checkers reconstruct a real counterexample / witness trace after
-// the fact by deterministically replaying successors() along the parent
-// chain. Per-worker statistics (states processed, steals, enqueues) are
-// reported through ParallelRunInfo.
+// the fact by deterministically replaying enumerate_steps() along the
+// parent chain. Per-worker statistics (states processed, steals, enqueues)
+// are reported through ParallelRunInfo.
 //
 // The explorer is POR-aware (ExploreOptions::por):
 //
@@ -61,8 +61,8 @@ struct ParallelRunInfo {
 
 /// Parallel version of check_invariant. Returns a real counterexample
 /// trace, reconstructed from the seen set's parent pointers (violating
-/// state -> root) and replayed through successors(); when several workers
-/// race to a violation, the first one reported wins.
+/// state -> root) and replayed through enumerate_steps(); when several
+/// workers race to a violation, the first one reported wins.
 [[nodiscard]] InvariantResult check_invariant_parallel(
     const lang::Program& program, const ConfigPredicate& invariant,
     const ParallelOptions& options = {}, ParallelRunInfo* info = nullptr);
@@ -81,8 +81,11 @@ struct ParallelRunInfo {
 
 /// Parallel version of check_race_free: explores all executions (under the
 /// selected POR mode) and reports a race between a non-atomic access and a
-/// conflicting unordered access, with a replayable trace. Which of several
-/// races is reported depends on worker scheduling; the verdict does not.
+/// conflicting unordered access, with a replayable trace. Like the
+/// sequential checker, every worker tests each visited state's newest
+/// event; a race is reported at a visited state, which the stats count and
+/// the trace leads to. Which of several races is reported depends on
+/// worker scheduling; the verdict does not.
 [[nodiscard]] RaceResult check_race_free_parallel(
     const lang::Program& program, const ParallelOptions& options = {},
     ParallelRunInfo* info = nullptr);

@@ -1,5 +1,10 @@
 #include "helpers.hpp"
 
+#include <stdexcept>
+
+#include "c11/races.hpp"
+#include "mc/explorer.hpp"
+
 namespace rc11::testing {
 
 Example32 make_example_32() {
@@ -39,6 +44,22 @@ Example32 make_example_32() {
   ex.add_rf(e.wr3_z, e.rd4_z);
 
   return e;
+}
+
+bool racy_by_oracle(const lang::Program& program,
+                    const interp::StepOptions& step) {
+  mc::ExploreOptions options;
+  options.step = step;
+  bool racy = false;
+  mc::Visitor visitor;
+  visitor.on_state = [&](const interp::Config& c) {
+    racy = c11::find_race(c.exec).has_value();
+    return !racy;
+  };
+  if (mc::explore(program, options, visitor).stats.truncated) {
+    throw std::runtime_error("race oracle hit the state budget");
+  }
+  return racy;
 }
 
 }  // namespace rc11::testing

@@ -1,7 +1,10 @@
-// Shared fixtures: executions from the paper's worked examples.
+// Shared fixtures: executions from the paper's worked examples, and the
+// from-scratch race oracle.
 #pragma once
 
 #include "c11/execution.hpp"
+#include "interp/config.hpp"
+#include "lang/program.hpp"
 
 namespace rc11::testing {
 
@@ -32,5 +35,13 @@ struct Example32 {
 ///   mo|y: wr0(y,0) < updRA4(y,0,5) < wr2(y,1)
 ///   mo|z: wr0(z,0) < wr3(z,3)
 [[nodiscard]] Example32 make_example_32();
+
+/// The race oracle: full exploration (no reduction) whose on_state runs
+/// the from-scratch c11::find_race (every pair of events, hb through
+/// compute_derived) at every reachable state. True iff some reachable
+/// execution has a data race. Shares no race logic with mc::check_race_free,
+/// which tests only each visited state's newest event.
+[[nodiscard]] bool racy_by_oracle(const lang::Program& program,
+                                  const interp::StepOptions& step = {});
 
 }  // namespace rc11::testing

@@ -17,6 +17,7 @@
 #include "axiomatic/equivalence.hpp"
 #include "c11/canonical.hpp"
 #include "c11/races.hpp"
+#include "helpers.hpp"
 #include "lang/generator.hpp"
 #include "mc/parallel.hpp"
 #include "vcgen/invariant.hpp"
@@ -107,12 +108,13 @@ TEST_P(NaFuzzTest, RaceCheckerAndSoundnessDoNotInterfere) {
   lang::GeneratorOptions o = small_options(GetParam());
   o.allow_nonatomic = true;
   const lang::Program p = generate_program(o);
-  // Race checking never crashes and terminates; soundness of the rf/mo
-  // layer is independent of atomicity annotations.
+  // The race verdict matches the from-scratch oracle; soundness of the
+  // rf/mo layer is independent of atomicity annotations.
   const mc::RaceResult race = mc::check_race_free(p);
+  EXPECT_EQ(race.race_free, !testing::racy_by_oracle(p))
+      << p.to_string() << race.race;
   const axiomatic::SoundnessResult sound = axiomatic::check_soundness(p);
   EXPECT_TRUE(sound.sound) << p.to_string();
-  (void)race;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, NaFuzzTest, ::testing::Range(0u, 12u));
@@ -225,11 +227,13 @@ TEST(DporFuzz, DporAgreesWithFullExplorationOn200Programs) {
       }
     }
 
-    // Race verdicts (NA seeds only: atomic-only programs never race; the
-    // per-transition derived-relation computation makes race checking the
-    // most expensive sweep, so small seeds only).
-    if (o.allow_nonatomic && small) {
-      const bool full_race_free = mc::check_race_free(p).race_free;
+    // Race verdicts against the from-scratch oracle (NA seeds only:
+    // atomic-only programs never race). The race query runs on the same
+    // spine as outcome enumeration, so every NA seed is checked, the
+    // 4-thread ones included.
+    if (o.allow_nonatomic) {
+      const bool full_race_free = !testing::racy_by_oracle(p);
+      EXPECT_EQ(mc::check_race_free(p).race_free, full_race_free) << tag;
       for (const mc::PorMode por : {mc::kDefaultPor, mc::PorMode::kOptimal}) {
         mc::ExploreOptions dopts;
         dopts.por = por;

@@ -30,6 +30,10 @@ TEST(Races, ConflictRequiresSameVarAndAWrite) {
   const EventId r3 = ex.add_event(4, Action::rd_na(0, 1));
   ex.add_rf(w, r3);
   EXPECT_FALSE(conflicting(ex, r, r3));
+  // A fence has no location, although its action's var field reads 0.
+  const EventId f = ex.add_event(5, Action::fence_rel());
+  EXPECT_FALSE(conflicting(ex, f, w));
+  EXPECT_FALSE(conflicting(ex, w, f));
 }
 
 TEST(Races, UnorderedNaWriteAndReadRace) {
@@ -103,6 +107,30 @@ TEST(Races, RaceWithNewEventMatchesFullScan) {
   EXPECT_EQ(incremental->second, full->second);
 }
 
+TEST(Races, MaintainedHbIsExposedOnlyWhileValid) {
+  Execution ex = Execution::initial({{0, 0}});
+  EXPECT_EQ(ex.hb_if_cached(), nullptr);  // raw add_event invalidates
+  ex.ensure_cache();
+  ASSERT_NE(ex.hb_if_cached(), nullptr);
+
+  // push_event keeps the cache valid; the maintained hb drives race_with
+  // exactly as the from-scratch one does.
+  Execution::UndoToken t1;
+  Execution::UndoToken t2;
+  const EventId w = ex.push_event(1, Action::wr_na(0, 1), 0, t1);
+  const EventId r = ex.push_event(2, Action::rd(0, 0), 0, t2);
+  const util::Relation* hb = ex.hb_if_cached();
+  ASSERT_NE(hb, nullptr);
+  EXPECT_EQ(*hb, compute_derived(ex).hb);
+  const auto race = race_with(ex, *hb, r);
+  ASSERT_TRUE(race.has_value());
+  EXPECT_EQ(race->first, w);
+  EXPECT_EQ(race->second, r);
+
+  ex.clear_rf();
+  EXPECT_EQ(ex.hb_if_cached(), nullptr);
+}
+
 // --- Model-checker integration --------------------------------------------------
 
 TEST(RaceChecker, RacyProgramDetected) {
@@ -115,6 +143,72 @@ thread 2 { r0 := x@NA; }
   EXPECT_FALSE(r.race_free);
   EXPECT_NE(r.race.find("data race"), std::string::npos);
   EXPECT_FALSE(r.trace.empty());
+}
+
+TEST(RaceChecker, NewestEventTestReadsTheMaintainedHb) {
+  // At every state each sequential engine visits, the race checker's
+  // per-state test reads the hb push_event maintains (no from-scratch
+  // fallback) and agrees with race_with over from-scratch derived
+  // relations.
+  const auto parsed = lang::parse_litmus(R"(litmus Racy3
+var x = 0
+var f = 0
+thread 1 { x :=NA 1; f :=R 1; }
+thread 2 { r0 := f@A; r1 := x@NA; }
+thread 3 { x :=NA 2; }
+)");
+  for (const mc::PorMode por :
+       {mc::PorMode::kNone, mc::PorMode::kSleepSets, mc::PorMode::kSourceSets,
+        mc::PorMode::kSourceSetsSleep, mc::PorMode::kOptimal,
+        mc::PorMode::kOptimalParsimonious}) {
+    const char* mode = mc::por_mode_name(por);
+    std::size_t racy_states = 0;
+    mc::Visitor v;
+    v.on_state = [&](const interp::Config& c) {
+      const auto e = static_cast<EventId>(c.exec.size() - 1);
+      const auto got = mc::newest_event_race(c.exec);
+      // The root, whose newest event is an init write, is skipped before
+      // hb is read (its cache is built by the first enumeration).
+      if (c.exec.event(e).is_init()) {
+        EXPECT_FALSE(got.has_value()) << mode;
+        return true;
+      }
+      EXPECT_NE(c.exec.hb_if_cached(), nullptr) << mode;
+      const auto expect = race_with(c.exec, compute_derived(c.exec), e);
+      EXPECT_EQ(got.has_value(), expect.has_value()) << mode;
+      if (got && expect) {
+        EXPECT_EQ(got->first, expect->first) << mode;
+        EXPECT_EQ(got->second, expect->second) << mode;
+      }
+      racy_states += got.has_value();
+      return true;
+    };
+    mc::ExploreOptions opts;
+    opts.por = por;
+    (void)mc::explore(parsed.program, opts, v);
+    EXPECT_GT(racy_states, 0u) << mode;
+  }
+}
+
+TEST(RaceChecker, PreExecutionFallsBackToFromScratchHb) {
+  // The pre-execution semantics builds successors with raw mutations, so
+  // its states carry no valid cache; the race test recomputes hb.
+  const auto parsed = lang::parse_litmus(R"(litmus RacyPe
+var x = 0
+thread 1 { x :=NA 1; }
+thread 2 { r0 := x@NA; }
+)");
+  mc::ExploreOptions opts;
+  opts.pre_execution = true;
+  std::size_t uncached = 0;
+  mc::Visitor v;
+  v.on_state = [&](const interp::Config& c) {
+    uncached += c.exec.hb_if_cached() == nullptr;
+    return true;
+  };
+  (void)mc::explore(parsed.program, opts, v);
+  EXPECT_GT(uncached, 0u);
+  EXPECT_FALSE(mc::check_race_free(parsed.program, opts).race_free);
 }
 
 TEST(RaceChecker, MessagePassingWithReleaseAcquireIsRaceFree) {
