@@ -1,6 +1,8 @@
 #include "c11/axioms.hpp"
 
+#include <cassert>
 #include <sstream>
+#include <vector>
 
 namespace rc11::c11 {
 
@@ -124,6 +126,209 @@ bool check_coherence(const Execution& ex, const DerivedRelations& d) {
 
 bool check_sc(const Execution& ex, const DerivedRelations& d) {
   return compute_psc(ex, d).is_acyclic();
+}
+
+// --- Sc after one push ---------------------------------------------------------
+//
+// Why a search through the new event suffices. push_event appends one event
+// e, here not a fence, and adds only edges into or out of e (Section 3.2):
+//
+//  * hb, eco and sb between older events never change;
+//  * so scb between older events does not change either. Its sb, hb|loc, mo
+//    and fr parts are unchanged, and its sb|!=loc;hb;sb|!=loc part cannot
+//    pass through e, which has no sb or hb successor;
+//  * so every new psc edge has one of two shapes. Either it touches e,
+//    which requires e in E^sc (psc relates SC events only). Or it leaves an
+//    SC fence a with a hb e: through left(a, e) = [F^sc];hb followed by a
+//    new scb edge out of e, or through psc_f's a hb e eco z hb f. (right =
+//    [E^sc] u hb?;[F^sc] gains only the pair (e, e), since e has no hb
+//    successor, and no psc_f edge ends at e, since e is no fence);
+//  * so every new psc cycle runs through a *source*: e if it is SC, or an
+//    SC fence in hb^-1(e).
+//
+// Without e the state satisfies Sc, so psc is cyclic iff some source
+// reaches itself. Without a source that is one masked column test on hb's
+// maintained inverse, which covers every relaxed access of a program
+// without SC fences. Otherwise a depth-first search from each source walks
+// psc rows, each built on demand from hb rows and columns, eco rows (for an
+// access u, (mo u fr)(u) = eco(u) n W) and a tag-order scan for sb: no
+// closure, composition or pair loop.
+
+namespace {
+
+/// Per-thread state of a tag-order scan over the members of a set X.
+struct ThreadScan {
+  bool seen = false;    ///< a member of X precedes in this thread
+  bool fence = false;   ///< one of those members is a fence
+  bool access = false;  ///< one of them is an access, on `var`
+  bool multi = false;   ///< they access two or more variables
+  VarId var = 0;
+};
+
+/// Scratch for sc_ok_after_push, reused across calls.
+struct PscScratch {
+  util::Bitset sources, sc, fsc, x, y, a, h, z, t, tmp, visited, have_row;
+  std::vector<util::Bitset> acc;   ///< accesses per variable
+  std::vector<util::Bitset> rows;  ///< psc rows built so far, by event
+  std::vector<ThreadScan> scan;
+  std::vector<EventId> stack;
+};
+
+PscScratch& psc_scratch() {
+  thread_local PscScratch s;
+  return s;
+}
+
+void reset(util::Bitset& b, std::size_t n) {
+  b.resize(n);
+  b.clear();
+}
+
+/// Adds sb|!=loc(X) to `neq_out` and, unless null, sb(X) to `sb_out`, in
+/// one pass over the events in tag order (tags increase along sb within a
+/// thread). X holds no init write. A pair with a fence endpoint is never
+/// same-location.
+void add_sb_images(const Execution& ex, const util::Bitset& x,
+                   util::Bitset* sb_out, util::Bitset& neq_out,
+                   std::vector<ThreadScan>& scan) {
+  scan.assign(static_cast<std::size_t>(ex.max_thread()) + 1, ThreadScan{});
+  for (EventId c = 0; c < ex.size(); ++c) {
+    const Event& ev = ex.event(c);
+    if (ev.is_init()) continue;
+    ThreadScan& s = scan[ev.tid];
+    if (s.seen) {
+      if (sb_out != nullptr) sb_out->set(c);
+      // Without a fence member, `seen` implies `access`.
+      if (ev.is_fence() || s.fence || s.multi || s.var != ev.var()) {
+        neq_out.set(c);
+      }
+    }
+    if (!x.test(c)) continue;
+    s.seen = true;
+    if (ev.is_fence()) {
+      s.fence = true;
+    } else if (!s.access) {
+      s.access = true;
+      s.var = ev.var();
+    } else if (s.var != ev.var()) {
+      s.multi = true;
+    }
+  }
+}
+
+/// psc(u) for an SC event u, into `row`:
+///   psc_base(u) = right(scb(L)),  L = {u} u (hb(u) if u in F^sc)
+///   psc_f(u)    = F^sc n (hb(u) u hb(eco(hb(u))))   (u in F^sc only)
+/// where right(Y) = (Y n E^sc) u (F^sc n hb(Y)).
+void psc_row(const Execution& ex, const util::Relation& hb,
+             const util::Relation& eco, EventId u, PscScratch& s,
+             util::Bitset& row) {
+  const std::size_t n = ex.size();
+  const bool fence = ex.event(u).is_fence();
+  reset(s.x, n);
+  s.x.set(u);
+  if (fence) s.x |= hb.row(u);
+
+  // Y = scb(L) = (sb u sb|!=loc;hb;sb|!=loc u hb|loc u mo u fr)(L).
+  reset(s.y, n);
+  reset(s.a, n);
+  add_sb_images(ex, s.x, &s.y, s.a, s.scan);
+  reset(s.h, n);
+  s.a.for_each([&](std::size_t a) { s.h |= hb.row(a); });
+  add_sb_images(ex, s.h, nullptr, s.y, s.scan);
+  reset(s.z, n);  // eco(L); its writes are (mo u fr)(L)
+  s.x.for_each([&](std::size_t x) {
+    s.z |= eco.row(x);
+    const Event& ev = ex.event(static_cast<EventId>(x));
+    if (ev.is_fence()) return;
+    s.tmp = hb.row(x);
+    s.tmp &= s.acc[ev.var()];
+    s.y |= s.tmp;
+  });
+  s.tmp = s.z;
+  s.tmp &= ex.writes();
+  s.y |= s.tmp;
+
+  row = s.y;
+  row &= s.sc;
+  // An SC fence f is a target when hb^-1(f) meets Y (right), or, for a
+  // fence u, contains u or meets eco(hb(u)) (psc_f).
+  s.t = s.y;
+  if (fence) {
+    s.t |= s.z;
+    s.t.set(u);
+  }
+  s.fsc.for_each([&](std::size_t f) {
+    if (!hb.column_view(f).disjoint(s.t)) row.set(f);
+  });
+}
+
+}  // namespace
+
+bool sc_ok_after_push(Execution& ex) {
+  assert(ex.size() > 0);
+  const auto e = static_cast<EventId>(ex.size() - 1);
+  const Event& ev = ex.event(e);
+  assert(!ev.is_fence());
+  const util::Relation& hb = ex.cached_hb();
+  const util::Bitset& hb_in = hb.column_view(e);
+  if (!ev.is_sc() && hb_in.disjoint(ex.fences())) return true;
+
+  const std::size_t n = ex.size();
+  PscScratch& s = psc_scratch();
+  reset(s.sc, n);
+  reset(s.fsc, n);
+  for (EventId u = 0; u < n; ++u) {
+    const Event& eu = ex.event(u);
+    if (!eu.is_sc()) continue;
+    s.sc.set(u);
+    if (eu.is_fence()) s.fsc.set(u);
+  }
+  reset(s.sources, n);
+  if (ev.is_sc()) s.sources.set(e);
+  s.fsc.for_each([&](std::size_t f) {
+    if (hb_in.test(f)) s.sources.set(f);
+  });
+  if (s.sources.empty()) return true;
+
+  s.acc.resize(ex.var_count());
+  for (util::Bitset& b : s.acc) reset(b, n);
+  for (EventId u = 0; u < n; ++u) {
+    const Event& eu = ex.event(u);
+    if (!eu.is_fence()) s.acc[eu.var()].set(u);
+  }
+  const util::Relation& eco = ex.cached_eco();
+  s.rows.resize(n);
+  reset(s.have_row, n);
+  const auto row_of = [&](EventId u) -> const util::Bitset& {
+    if (!s.have_row.test(u)) {
+      psc_row(ex, hb, eco, u, s, s.rows[u]);
+      s.have_row.set(u);
+    }
+    return s.rows[u];
+  };
+
+  bool cyclic = false;
+  s.sources.for_each([&](std::size_t src) {
+    if (cyclic) return;
+    reset(s.visited, n);
+    s.stack.assign(1, static_cast<EventId>(src));
+    while (!cyclic && !s.stack.empty()) {
+      const EventId v = s.stack.back();
+      s.stack.pop_back();
+      const util::Bitset& r = row_of(v);
+      if (r.test(src)) {
+        cyclic = true;
+        break;
+      }
+      r.for_each([&](std::size_t w) {
+        if (s.visited.test(w)) return;
+        s.visited.set(w);
+        s.stack.push_back(static_cast<EventId>(w));
+      });
+    }
+  });
+  return !cyclic;
 }
 
 ValidityReport check_validity(const Execution& ex) {

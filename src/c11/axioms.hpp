@@ -54,6 +54,15 @@ struct ValidityReport {
 /// RAR fragment is unaffected.
 [[nodiscard]] bool check_sc(const Execution& ex, const DerivedRelations& d);
 
+/// Sc after one push_event, searching only for a psc cycle through the
+/// newest event e (not a fence). Precondition: the execution without e
+/// satisfies Sc, as every state reached through Sc-filtered steps does.
+/// Reads the hb and eco that push_event maintains and builds no closure:
+/// without an SC source (e itself, or an SC fence hb-before e) it is one
+/// masked column test; otherwise a search over psc rows built on demand.
+/// Agrees with check_sc(ex, compute_derived(ex)) under the precondition.
+[[nodiscard]] bool sc_ok_after_push(Execution& ex);
+
 /// Checks all six axioms.
 [[nodiscard]] ValidityReport check_validity(const Execution& ex);
 [[nodiscard]] ValidityReport check_validity(const Execution& ex,

@@ -42,6 +42,17 @@ struct DerivedRelations {
 /// Computes all derived relations in one pass (sharing intermediates).
 [[nodiscard]] DerivedRelations compute_derived(const Execution& ex);
 
+/// Returns f(hb) for the hb that push_event maintains
+/// (Execution::hb_if_cached), or, while that cache is invalid (before the
+/// first cached query, after a raw mutation, under the pre-execution
+/// semantics), for a from-scratch one. For observers that see only a const
+/// Execution: explorer visitors, invariant predicates.
+template <typename F>
+auto with_hb(const Execution& ex, F&& f) {
+  if (const util::Relation* hb = ex.hb_if_cached()) return f(*hb);
+  return f(compute_derived(ex).hb);
+}
+
 /// RC11 partial-SC order psc = psc_base u psc_f over SC events/fences:
 ///   scb      = sb u sb|!=loc;hb;sb|!=loc u hb|loc u mo u fr
 ///   psc_base = ([E^sc] u [F^sc];hb?) ; scb ; ([E^sc] u hb?;[F^sc])

@@ -396,10 +396,15 @@ ThreadEnumClass enumerate_thread_steps(Config& c, ThreadId t,
 
 /// Drops every enumerated memory step whose push would violate the Sc
 /// axiom. Only runs for SC programs; fences are skipped (a just-pushed
-/// fence has no outgoing hb, so it never closes a psc cycle). Runs as a
-/// separate pass after enumeration: the trial pushes mutate the
-/// Execution's incremental cache, which the enumeration loop holds
-/// references into.
+/// fence has no outgoing hb, so it never closes a psc cycle). Each
+/// candidate is pushed, checked by c11::sc_ok_after_push, which searches
+/// only for a psc cycle through the new event on the maintained hb and eco,
+/// and popped. Its precondition, that the state before the push satisfies
+/// Sc, holds at every node: every state is reached through filtered steps
+/// (or fences) from the initial state. The from-scratch check stays the
+/// oracle in successors(). Runs as a separate pass after enumeration: the
+/// trial pushes mutate the Execution's incremental cache, which the
+/// enumeration loop holds references into.
 void filter_sc_steps(Config& c, std::vector<Step>& out) {
   c11::Execution& ex = c.exec;
   thread_local c11::Execution::UndoToken tok;
@@ -408,7 +413,7 @@ void filter_sc_steps(Config& c, std::vector<Step>& out) {
     bool ok = true;
     if (!s.silent && !s.action.is_fence()) {
       ex.push_event(s.thread, s.action, s.observed, tok);
-      ok = c11::check_sc(ex, c11::compute_derived(ex));
+      ok = c11::sc_ok_after_push(ex);
       ex.pop_event(tok);
     }
     if (ok) out[kept++] = s;
@@ -440,8 +445,10 @@ void enumerate_steps(Config& c, const StepOptions& opts,
   if (c.has_sc) {
     // The Sc filter couples a thread's enabled set to every other thread's
     // events (a push anywhere can complete a psc cycle through old SC
-    // fences), so the per-thread step cache's locality assumption fails —
-    // bypass it entirely for SC programs.
+    // events and fences), which the per-variable version streams do not
+    // track, so the per-thread step cache's locality assumption fails —
+    // bypass it entirely for SC programs. Enumeration here is every
+    // thread's candidates plus one sc_ok_after_push per memory candidate.
     enumerate_steps_uncached(c, opts, out);
     return;
   }

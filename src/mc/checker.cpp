@@ -96,10 +96,9 @@ std::optional<c11::DataRace> newest_event_race(const c11::Execution& ex) {
   const auto e = static_cast<c11::EventId>(ex.size() - 1);
   // Init writes are sb-before every other event, so they never race.
   if (ex.event(e).is_init()) return std::nullopt;
-  if (const util::Relation* hb = ex.hb_if_cached()) {
-    return c11::race_with(ex, *hb, e);
-  }
-  return c11::race_with(ex, c11::compute_derived(ex), e);
+  return c11::with_hb(ex, [&](const util::Relation& hb) {
+    return c11::race_with(ex, hb, e);
+  });
 }
 
 // Checking only each visited state's newest event finds a race whenever a

@@ -14,12 +14,33 @@ util::Bitset hb_cone(const Execution& ex, const DerivedRelations& d,
   return cone;
 }
 
-bool determinate_value(const Execution& ex, const DerivedRelations& d,
+namespace {
+
+/// e in hbc(t): an init write, an event of t, or hb-before an event of t.
+bool in_hb_cone(const Execution& ex, const util::Relation& hb, ThreadId t,
+                EventId e) {
+  const c11::Event& ev = ex.event(e);
+  if (ev.is_init() || ev.tid == t) return true;
+  const util::Bitset& after = hb.row(e);
+  for (std::size_t s = after.first(); s < after.size(); s = after.next(s)) {
+    if (ex.event(static_cast<EventId>(s)).tid == t) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
+bool determinate_value(const Execution& ex, const util::Relation& hb,
                        ThreadId t, VarId x, Value v) {
   const EventId last = ex.last(x);
   if (last == c11::kNoEvent) return false;
   if (ex.event(last).wrval() != v) return false;  // condition (1)
-  return hb_cone(ex, d, t).test(last);            // condition (2)
+  return in_hb_cone(ex, hb, t, last);             // condition (2)
+}
+
+bool determinate_value(const Execution& ex, const DerivedRelations& d,
+                       ThreadId t, VarId x, Value v) {
+  return determinate_value(ex, d.hb, t, x, v);
 }
 
 std::optional<Value> determinate_value_of(const Execution& ex,
@@ -47,12 +68,17 @@ bool observes_only_last(const Execution& ex, const DerivedRelations& d,
   return only_last && ow.test(last);
 }
 
-bool var_order(const Execution& ex, const DerivedRelations& d, VarId x,
+bool var_order(const Execution& ex, const util::Relation& hb, VarId x,
                VarId y) {
   const EventId lx = ex.last(x);
   const EventId ly = ex.last(y);
   if (lx == c11::kNoEvent || ly == c11::kNoEvent) return false;
-  return d.hb.contains(lx, ly);
+  return hb.contains(lx, ly);
+}
+
+bool var_order(const Execution& ex, const DerivedRelations& d, VarId x,
+               VarId y) {
+  return var_order(ex, d.hb, x, y);
 }
 
 bool determinate_value(const Execution& ex, ThreadId t, VarId x, Value v) {

@@ -30,10 +30,22 @@ using c11::VarId;
 
 /// The happens-before cone of thread t (Appendix B):
 ///   hbc(t) = I_sigma u { e | exists e' with tid(e') = t, (e,e') in hb? }.
+/// Built in full; determinate_value tests one event's membership on its hb
+/// row instead, and the tests compare the two.
 [[nodiscard]] util::Bitset hb_cone(const Execution& ex,
                                    const DerivedRelations& d, ThreadId t);
 
-/// Determinate-value assertion x =_t v.
+/// Determinate-value assertion x =_t v, reading only hb: the one
+/// push_event maintains (Execution::hb_if_cached, via c11::with_hb) or a
+/// from-scratch snapshot. Condition (2) is a test on last(x) alone: it is
+/// in hbc(t) iff it is an init write, an event of t, or its hb row meets
+/// t's events — no cone is built.
+[[nodiscard]] bool determinate_value(const Execution& ex,
+                                     const util::Relation& hb, ThreadId t,
+                                     VarId x, Value v);
+
+/// Determinate-value assertion x =_t v on a from-scratch snapshot
+/// (forwards d.hb).
 [[nodiscard]] bool determinate_value(const Execution& ex,
                                      const DerivedRelations& d, ThreadId t,
                                      VarId x, Value v);
@@ -49,7 +61,13 @@ using c11::VarId;
                                       const DerivedRelations& d, ThreadId t,
                                       VarId x);
 
-/// Variable-ordering assertion x -> y.
+/// Variable-ordering assertion x -> y, reading only hb (maintained or
+/// from scratch, as for determinate_value).
+[[nodiscard]] bool var_order(const Execution& ex, const util::Relation& hb,
+                             VarId x, VarId y);
+
+/// Variable-ordering assertion x -> y on a from-scratch snapshot (forwards
+/// d.hb).
 [[nodiscard]] bool var_order(const Execution& ex, const DerivedRelations& d,
                              VarId x, VarId y);
 

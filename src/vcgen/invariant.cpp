@@ -1,27 +1,31 @@
 #include "vcgen/invariant.hpp"
 
+#include <utility>
+
 namespace rc11::vcgen {
 
 InvariantSuiteResult check_invariants(
     const lang::Program& program,
     const std::vector<NamedInvariant>& invariants,
     mc::ExploreOptions options) {
-  options.step.tau_compress = false;
+  // One predicate over the whole suite, so mc::check_invariant's option
+  // handling (tau compression off, DPOR downgraded to sleep sets) applies.
   InvariantSuiteResult result;
-  mc::Visitor visitor;
-  visitor.on_state = [&](const interp::Config& c) {
-    for (const NamedInvariant& inv : invariants) {
-      if (!inv.predicate(c)) {
-        result.all_hold = false;
-        result.failed = inv.name;
-        return false;
-      }
-    }
-    return true;
-  };
-  mc::ExploreResult er = mc::explore(program, options, visitor);
-  result.stats = er.stats;
-  if (!result.all_hold) result.counterexample = std::move(er.abort_trace);
+  mc::InvariantResult r = mc::check_invariant(
+      program,
+      [&](const interp::Config& c) {
+        for (const NamedInvariant& inv : invariants) {
+          if (!inv.predicate(c)) {
+            result.failed = inv.name;
+            return false;
+          }
+        }
+        return true;
+      },
+      std::move(options));
+  result.all_hold = r.holds;
+  result.counterexample = std::move(r.counterexample);
+  result.stats = r.stats;
   return result;
 }
 

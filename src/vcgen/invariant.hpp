@@ -28,7 +28,10 @@ struct InvariantSuiteResult {
   mc::ExploreStats stats;
 };
 
-/// Checks every invariant at every reachable configuration.
+/// Checks every invariant at every reachable configuration, through
+/// mc::check_invariant: tau compression is off, and DPOR modes are
+/// downgraded to sleep sets, since an invariant observes intermediate
+/// states that DPOR may skip.
 [[nodiscard]] InvariantSuiteResult check_invariants(
     const lang::Program& program, const std::vector<NamedInvariant>& invariants,
     mc::ExploreOptions options = {});

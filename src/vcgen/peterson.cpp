@@ -78,6 +78,10 @@ std::vector<NamedInvariant> peterson_invariants(const PetersonHandles& h) {
   auto in_456 = [](int pc) { return pc == 4 || pc == 5 || pc == 6; };
   auto in_3456 = [](int pc) { return pc >= 3 && pc <= 6; };
 
+  // Every assertion below reads only hb: the one push_event maintains on
+  // the exploration spine, or a from-scratch one while the cache is
+  // invalid (c11::with_hb).
+  using Hb = util::Relation;
   std::vector<NamedInvariant> out;
 
   out.push_back({"inv4: turn is update-only",
@@ -87,75 +91,81 @@ std::vector<NamedInvariant> peterson_invariants(const PetersonHandles& h) {
 
   out.push_back(
       {"inv5: turn =_1 2 \\/ turn =_2 1", [turn](const interp::Config& c) {
-         const auto d = c11::compute_derived(c.exec);
-         return determinate_value(c.exec, d, 1, turn, 2) ||
-                determinate_value(c.exec, d, 2, turn, 1);
+         return c11::with_hb(c.exec, [&](const Hb& hb) {
+           return determinate_value(c.exec, hb, 1, turn, 2) ||
+                  determinate_value(c.exec, hb, 2, turn, 1);
+         });
        }});
 
   out.push_back({"inv6: pc_t in {3..6} => flag_t =_t true",
                  [flag, in_3456](const interp::Config& c) {
-                   const auto d = c11::compute_derived(c.exec);
-                   for (c11::ThreadId t = 1; t <= 2; ++t) {
-                     if (in_3456(c.pc(t)) &&
-                         !determinate_value(c.exec, d, t, flag[t], 1)) {
-                       return false;
+                   return c11::with_hb(c.exec, [&](const Hb& hb) {
+                     for (c11::ThreadId t = 1; t <= 2; ++t) {
+                       if (in_3456(c.pc(t)) &&
+                           !determinate_value(c.exec, hb, t, flag[t], 1)) {
+                         return false;
+                       }
                      }
-                   }
-                   return true;
+                     return true;
+                   });
                  }});
 
   out.push_back({"inv7: pc_t in {4..6} => flag_t -> turn",
                  [flag, turn, in_456](const interp::Config& c) {
-                   const auto d = c11::compute_derived(c.exec);
-                   for (c11::ThreadId t = 1; t <= 2; ++t) {
-                     if (in_456(c.pc(t)) &&
-                         !var_order(c.exec, d, flag[t], turn)) {
-                       return false;
+                   return c11::with_hb(c.exec, [&](const Hb& hb) {
+                     for (c11::ThreadId t = 1; t <= 2; ++t) {
+                       if (in_456(c.pc(t)) &&
+                           !var_order(c.exec, hb, flag[t], turn)) {
+                         return false;
+                       }
                      }
-                   }
-                   return true;
+                     return true;
+                   });
                  }});
 
   out.push_back(
       {"inv8: both in {4..6} => flag_t^ =_t true \\/ turn =_t^ t",
        [flag, turn, in_456](const interp::Config& c) {
-         const auto d = c11::compute_derived(c.exec);
-         for (c11::ThreadId t = 1; t <= 2; ++t) {
-           const c11::ThreadId other = 3 - t;
-           if (in_456(c.pc(t)) && in_456(c.pc(other))) {
-             if (!determinate_value(c.exec, d, t, flag[other], 1) &&
-                 !determinate_value(c.exec, d, other, turn, t)) {
-               return false;
+         return c11::with_hb(c.exec, [&](const Hb& hb) {
+           for (c11::ThreadId t = 1; t <= 2; ++t) {
+             const c11::ThreadId other = 3 - t;
+             if (in_456(c.pc(t)) && in_456(c.pc(other))) {
+               if (!determinate_value(c.exec, hb, t, flag[other], 1) &&
+                   !determinate_value(c.exec, hb, other, turn, t)) {
+                 return false;
+               }
              }
            }
-         }
-         return true;
+           return true;
+         });
        }});
 
   out.push_back(
       {"inv9: pc_t = 5 /\\ pc_t^ in {4..6} => turn =_t^ t",
        [turn, in_456](const interp::Config& c) {
-         const auto d = c11::compute_derived(c.exec);
-         for (c11::ThreadId t = 1; t <= 2; ++t) {
-           const c11::ThreadId other = 3 - t;
-           if (c.pc(t) == 5 && in_456(c.pc(other)) &&
-               !determinate_value(c.exec, d, other, turn, t)) {
-             return false;
+         return c11::with_hb(c.exec, [&](const Hb& hb) {
+           for (c11::ThreadId t = 1; t <= 2; ++t) {
+             const c11::ThreadId other = 3 - t;
+             if (c.pc(t) == 5 && in_456(c.pc(other)) &&
+                 !determinate_value(c.exec, hb, other, turn, t)) {
+               return false;
+             }
            }
-         }
-         return true;
+           return true;
+         });
        }});
 
   out.push_back({"inv10: pc_t = 2 => flag_t =_t false",
                  [flag](const interp::Config& c) {
-                   const auto d = c11::compute_derived(c.exec);
-                   for (c11::ThreadId t = 1; t <= 2; ++t) {
-                     if (c.pc(t) == 2 &&
-                         !determinate_value(c.exec, d, t, flag[t], 0)) {
-                       return false;
+                   return c11::with_hb(c.exec, [&](const Hb& hb) {
+                     for (c11::ThreadId t = 1; t <= 2; ++t) {
+                       if (c.pc(t) == 2 &&
+                           !determinate_value(c.exec, hb, t, flag[t], 0)) {
+                         return false;
+                       }
                      }
-                   }
-                   return true;
+                     return true;
+                   });
                  }});
 
   return out;

@@ -11,6 +11,7 @@
 #include "mc/explorer.hpp"
 #include "vcgen/assertions.hpp"
 #include "vcgen/invariant.hpp"
+#include "vcgen/peterson.hpp"
 #include "vcgen/rules.hpp"
 
 namespace rc11::vcgen {
@@ -269,6 +270,106 @@ TEST(Example57, IntermediateProofStepsHold) {
   };
   (void)mc::explore(prog, bounded(2), v);
   EXPECT_GT(checked, 0u);
+}
+
+// --- Invariant suites under DPOR ----------------------------------------------------------
+
+// DPOR keeps every terminated state but may skip intermediate ones, which an
+// invariant observes. Here every violating state (both last writes 1) is
+// intermediate: each thread overwrites its 1 with 0 before it ends. The
+// suite must find the violation under DPOR options too, exactly as
+// mc::check_invariant does.
+TEST(InvariantSuite, FindsIntermediateViolationsUnderDporOptions) {
+  const lang::Program prog = lang::parse_litmus(R"(litmus INV_DPOR
+var x = 0
+var y = 0
+thread 1 { x := 1; x := 0; }
+thread 2 { y := 1; y := 0; }
+)")
+                                 .program;
+  const c11::VarId x = prog.vars().lookup("x");
+  const c11::VarId y = prog.vars().lookup("y");
+  const mc::ConfigPredicate not_both_one = [x, y](const interp::Config& c) {
+    const Execution& ex = c.exec;
+    return ex.event(ex.last(x)).wrval() != 1 ||
+           ex.event(ex.last(y)).wrval() != 1;
+  };
+  for (const mc::PorMode por : {mc::PorMode::kNone, mc::kDefaultPor}) {
+    mc::ExploreOptions o;
+    o.por = por;
+    const InvariantSuiteResult suite =
+        check_invariants(prog, {{"not both 1", not_both_one}}, o);
+    const mc::InvariantResult single =
+        mc::check_invariant(prog, not_both_one, o);
+    const std::string mode = mc::por_mode_name(por);
+    EXPECT_FALSE(single.holds) << mode;
+    EXPECT_FALSE(suite.all_hold) << mode;
+    EXPECT_EQ(suite.failed, "not both 1") << mode;
+    EXPECT_FALSE(suite.counterexample.empty()) << mode;
+    EXPECT_EQ(suite.stats.states, single.stats.states) << mode;
+  }
+}
+
+// --- hb-form assertions against the from-scratch forms -------------------------------------
+
+// At every reachable state of Peterson at bound 2, the assertions on the
+// maintained hb agree with the compute_derived forms and with the hb cone
+// built in full, and Peterson's invariants still hold through the
+// from-scratch fallback on a copy whose cache is invalid.
+TEST(HbFormAssertions, AgreeWithFromScratchFormsAcrossPeterson) {
+  PetersonHandles h;
+  const lang::Program prog = make_peterson(&h);
+  const std::vector<NamedInvariant> invariants = peterson_invariants(h);
+  const c11::VarId vars[] = {h.flag1.id, h.flag2.id, h.turn.id};
+  std::size_t states = 0;
+  std::size_t maintained = 0;
+  mc::Visitor visitor;
+  visitor.on_state = [&](const interp::Config& c) {
+    ++states;
+    const Execution& ex = c.exec;
+    const DerivedRelations d = c11::compute_derived(ex);
+    const util::Relation* hb = ex.hb_if_cached();
+    if (hb != nullptr) {
+      ++maintained;
+    } else {
+      hb = &d.hb;
+    }
+    for (ThreadId t = 1; t <= 2; ++t) {
+      const util::Bitset cone = hb_cone(ex, d, t);
+      for (const VarId x : vars) {
+        const EventId last = ex.last(x);
+        for (Value v = 0; v <= 2; ++v) {
+          const bool expect =
+              ex.event(last).wrval() == v && cone.test(last);
+          EXPECT_EQ(determinate_value(ex, *hb, t, x, v), expect)
+              << "t" << t << " x" << x << " v" << v;
+          EXPECT_EQ(determinate_value(ex, d, t, x, v), expect);
+        }
+      }
+    }
+    for (const VarId x : vars) {
+      for (const VarId y : vars) {
+        const bool expect = d.hb.contains(ex.last(x), ex.last(y));
+        EXPECT_EQ(var_order(ex, *hb, x, y), expect) << x << " -> " << y;
+        EXPECT_EQ(var_order(ex, d, x, y), expect) << x << " -> " << y;
+      }
+    }
+    interp::Config cold = c;
+    util::Bitset all(ex.size());
+    all.fill();
+    cold.exec = ex.restrict(all);  // same execution, no cache
+    EXPECT_EQ(cold.exec.hb_if_cached(), nullptr);
+    for (const NamedInvariant& inv : invariants) {
+      EXPECT_TRUE(inv.predicate(c)) << inv.name;
+      EXPECT_TRUE(inv.predicate(cold)) << inv.name << " (fallback)";
+    }
+    return !::testing::Test::HasFailure();
+  };
+  const mc::ExploreResult er = mc::explore(prog, bounded(2), visitor);
+  EXPECT_EQ(er.stats.states, 801u);
+  EXPECT_EQ(states, er.stats.states);
+  // Every state but the root is reached by a step on the maintained hb.
+  EXPECT_GE(maintained + 1, states);
 }
 
 // --- Transfer rule in action ------------------------------------------------------------
