@@ -27,7 +27,7 @@ util::Relation compute_sw(const Execution& ex) {
       if (readers.empty() || !ex.event(w).is_release()) continue;
       util::Bitset row = readers;
       row &= acq;
-      if (!row.empty()) sw.row(w) = std::move(row);
+      if (!row.empty()) sw.add_to_row(w, row);
     }
     return sw;
   }

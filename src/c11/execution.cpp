@@ -342,7 +342,7 @@ FactHash event_fact(std::uint64_t cid, const Action& a) {
 
 /// Thread-local scratch sets so push_event allocates nothing once warm.
 struct Scratch {
-  util::Bitset before, after, readers, preds, hbcol, din, ecocol, ecorow,
+  util::Bitset before, after, readers, hbcol, rel, din, ecocol, ecorow,
       ecohb, new_ew, reach, reach_hb;
 };
 
@@ -519,6 +519,11 @@ EventId Execution::push_event(ThreadId tid, const Action& a, EventId w,
   Scratch& s = scratch();
   const std::size_t n_old = events_.size();
   const std::size_t n = n_old + 1;
+  // tid's latest event: the sb side of e's hb column (below).
+  const std::size_t latest =
+      tid < c.thread_events.size() ? c.thread_events[tid].last() : n_old;
+  const EventId last =
+      latest < n_old ? static_cast<EventId>(latest) : kNoEvent;
 
   tok.tid = tid;
   tok.observed = w;
@@ -555,21 +560,17 @@ EventId Execution::push_event(ThreadId tid, const Action& a, EventId w,
     // cheaper than maintaining a full inverse mirror on mo).
     if (x < c.var_writes.size()) {
       c.var_writes[x].for_each([&](std::size_t p) {
-        if (mo_.row(p).test(w)) s.before.set(p);
+        if (mo_.contains(p, w)) s.before.set(p);
       });
     }
     s.before.set(w);
     // New fr in-edges: every read of a write mo-before e reads-before e.
     s.before.for_each([&](std::size_t p) { s.readers |= rf_.row(p); });
   }
-  s.preds.resize(n_old);
-  s.preds.clear();
-  if (tid < c.thread_events.size()) s.preds |= c.thread_events[tid];
-  if (!c.thread_events.empty()) s.preds |= c.thread_events[0];
 
-  // Canonical id: position of e within its thread (pre-append count).
+  // Canonical id: position of e within its thread, one past its latest.
   const std::uint64_t seq =
-      tid < c.thread_events.size() ? c.thread_events[tid].count() : 0;
+      last == kNoEvent ? 0 : (c.cid[last] & 0xffffffffull) + 1;
   const std::uint64_t cid_e = (static_cast<std::uint64_t>(tid) << 32) | seq;
 
   // --- Core append + primitive edges --------------------------------------
@@ -620,7 +621,6 @@ EventId Execution::push_event(ThreadId tid, const Action& a, EventId w,
   s.before.resize(n);
   s.after.resize(n);
   s.readers.resize(n);
-  s.preds.resize(n);
 
   c.thread_events[tid].set(e);
   if (is_wr) c.var_writes[x].set(e);
@@ -632,31 +632,42 @@ EventId Execution::push_event(ThreadId tid, const Action& a, EventId w,
 
   // --- hb: every new edge points into e, so only e's column grows ----------
   //
+  // The sb side is the thread's latest event and its hb column: hb
+  // contains sb and is transitive, so every earlier sb-predecessor of e
+  // (initialising writes included) is already hb-before it. A thread's
+  // first event has only the initialising writes before it in sb, and
+  // they have no hb predecessors (no sb into them, and no sw: they are
+  // neither acquire reads nor fences).
+  //
   // Fence-mediated sw keeps the invariant: an sw edge's target is always
   // the acquiring read (pushed after its rf source) or an acquire fence
   // (pushed after the reads it covers), so every new sw edge points into e
   // here too. Release-side sources of a write w' are w' itself (when
   // releasing) and every release fence sb-before w' (same thread, earlier
   // tag); their hb columns are frozen once pushed, so gathering them now is
-  // order-independent.
+  // order-independent. They go to `rel`, kept apart for the EW step below.
   s.hbcol.resize(n);
   s.hbcol.clear();
-  s.preds.for_each([&](std::size_t p) {
-    s.hbcol.set(p);
-    s.hbcol |= c.hb.column_view(p);
-  });
+  if (last != kNoEvent) {
+    s.hbcol.set(last);
+    s.hbcol |= c.hb.column_view(last);
+  } else {
+    s.hbcol |= c.thread_events[kInitThread];
+  }
+  s.rel.resize(n);
+  s.rel.clear();
   const auto gather_release_side = [&](EventId wsrc) {
     const Event& ws = events_[wsrc];
     if (ws.action.is_nonatomic()) return;  // NA accesses never synchronise
     if (ws.is_release()) {
-      s.hbcol.set(wsrc);
-      s.hbcol |= c.hb.column_view(wsrc);
+      s.rel.set(wsrc);
+      s.rel |= c.hb.column_view(wsrc);
     }
     fences_.for_each([&](std::size_t f) {
       if (f < wsrc && events_[f].tid == ws.tid &&
           events_[f].action.is_release_fence()) {
-        s.hbcol.set(f);
-        s.hbcol |= c.hb.column_view(f);
+        s.rel.set(f);
+        s.rel |= c.hb.column_view(f);
       }
     });
   };
@@ -666,13 +677,16 @@ EventId Execution::push_event(ThreadId tid, const Action& a, EventId w,
   if (is_fence && a.is_acquire_fence()) {
     // sw edges into the new acquire fence from the release side of every
     // atomic read sb-before it in its thread.
-    s.preds.for_each([&](std::size_t r) {
+    c.thread_events[tid].for_each([&](std::size_t r) {
       const Event& er = events_[r];
-      if (er.tid != tid || !er.is_read() || er.action.is_nonatomic()) return;
+      if (!er.is_read() || er.action.is_nonatomic()) return;
       const EventId wsrc = rf_source(static_cast<EventId>(r));
       if (wsrc != kNoEvent) gather_release_side(wsrc);
     });
   }
+  // What the release side adds beyond the sb side.
+  s.rel.subtract(s.hbcol);
+  s.hbcol |= s.rel;
   c.hb.add_to_column(e, s.hbcol);
 
   // --- eco: direct in-edges D_in and out-edges D_out of e ------------------
@@ -700,20 +714,28 @@ EventId Execution::push_event(ThreadId tid, const Action& a, EventId w,
   s.ecorow.clear();
   s.after.for_each([&](std::size_t d) {
     s.ecorow.set(d);
-    s.ecorow |= std::as_const(c.eco).row(d);
+    s.ecorow |= c.eco.row(d);
   });
   c.eco.add_to_column(e, s.ecocol);
   c.eco.add_to_row(e, s.ecorow);
 
   // --- Encountered writes --------------------------------------------------
   // EW(tid) gains every write w' with (w', e) in eco?;hb?: the midpoint m
-  // is e itself or an hb-predecessor of e.
+  // is e itself or an hb-predecessor of e. A midpoint on the sb side is
+  // hb?-before tid's latest event, so its writes are in EW(tid) already;
+  // only e and the release side can add any. Without a latest event EW(tid)
+  // is empty and every midpoint counts.
   s.ecohb = s.ecocol;
   s.ecohb.set(e);
-  s.hbcol.for_each([&](std::size_t m) {
+  const auto add_midpoint = [&](std::size_t m) {
     s.ecohb.set(m);
     s.ecohb |= c.eco.column_view(m);
-  });
+  };
+  if (last != kNoEvent) {
+    s.rel.for_each(add_midpoint);
+  } else {
+    s.hbcol.for_each(add_midpoint);
+  }
   s.new_ew = s.ecohb;
   s.new_ew &= writes_;
   tok.ew_delta = s.new_ew;
@@ -724,11 +746,10 @@ EventId Execution::push_event(ThreadId tid, const Action& a, EventId w,
   // (e, e'') in eco?;hb? for some event e'' of t (e inserted into the
   // middle of mo behind a write t has observed).
   if (is_wr) {
-    s.reach = std::as_const(c.eco).row(e);
+    s.reach = c.eco.row(e);
     s.reach.set(e);
     s.reach_hb = s.reach;
-    s.reach.for_each(
-        [&](std::size_t m) { s.reach_hb |= std::as_const(c.hb).row(m); });
+    s.reach.for_each([&](std::size_t m) { s.reach_hb |= c.hb.row(m); });
     for (ThreadId t = 1; t <= max_thread_; ++t) {
       if (t == tid) continue;
       if (!s.reach_hb.disjoint(c.thread_events[t])) c.encountered[t].set(e);
@@ -745,12 +766,23 @@ void Execution::pop_event(const UndoToken& tok) {
   const std::size_t n = events_.size();
   assert(n > 0 && tok.event == n - 1);
   const std::size_t n_new = n - 1;
+  const EventId e = tok.event;
+  const Action a = events_[e].action;
 
-  bump_var_versions(events_[tok.event].action);
+  bump_var_versions(a);
   c.fp_a -= tok.fp_delta_a;
   c.fp_b -= tok.fp_delta_b;
   if (tok.covered_added) c.covered.reset(tok.observed);
   c.encountered[tok.tid].subtract(tok.ew_delta);
+
+  // rf and mo keep no inverse, so remove e's in-pairs here from what the
+  // push recorded: its rf source and its mo predecessors among x's writes.
+  // The shrink below then clears only e's own row.
+  if (a.is_read()) rf_.remove(tok.observed, e);
+  if (a.is_write()) {
+    c.var_writes[a.var].for_each(
+        [&](std::size_t p) { mo_.remove(static_cast<EventId>(p), e); });
+  }
 
   events_.pop_back();
   sb_stale_ = true;

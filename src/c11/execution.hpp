@@ -93,9 +93,11 @@ class Execution {
   // sets, the covered set and the running fingerprint lanes — in time
   // proportional to the new event's neighbourhood instead of re-running
   // the closures. pop_event undoes the append exactly (LIFO only): all
-  // added edges are incident to the popped event, so shrinking every
-  // relation and bitset by one element plus replaying the recorded deltas
-  // restores the previous state bit for bit.
+  // added edges are incident to the popped event, so removing them,
+  // shrinking every relation and bitset by one element and replaying the
+  // recorded deltas restores the previous state bit for bit. Neither
+  // direction walks the older events: relations size their rows lazily
+  // (util::Relation), so both cost time in the new event's own pairs.
   //
   // The from-scratch functions (compute_derived, encountered_writes,
   // covered_writes, fingerprint_uncached) remain the oracle; the

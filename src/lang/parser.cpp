@@ -119,6 +119,15 @@ class Lexer {
   Token tok_;
 };
 
+/// Deepest nesting of the recursive productions (statements, blocks,
+/// expressions, conditions) the parser accepts. Each nested statement,
+/// block, expression, unary operator or condition counts one level; the
+/// deepest program in the test corpus, the litmus catalogue and the
+/// benchmark programs reaches 8, and the generator nests at most one
+/// `if`. Deeper input is rejected with a ParseError instead of overflowing
+/// the stack.
+constexpr int kMaxNesting = 256;
+
 class Parser {
  public:
   explicit Parser(const std::string& src) : lex_(src) {}
@@ -162,9 +171,28 @@ class Parser {
   }
 
  private:
+  /// One level of nesting for the lifetime of a recursive production.
+  class Nesting {
+   public:
+    explicit Nesting(Parser& parser) : parser_(parser) {
+      if (parser_.depth_ == kMaxNesting) {
+        parser_.fail(
+            util::cat("input nested deeper than ", kMaxNesting, " levels"));
+      }
+      ++parser_.depth_;
+    }
+    ~Nesting() { --parser_.depth_; }
+    Nesting(const Nesting&) = delete;
+    Nesting& operator=(const Nesting&) = delete;
+
+   private:
+    Parser& parser_;
+  };
+
   // --- Statements ------------------------------------------------------------
 
   ComPtr parse_stmt(Program& p) {
+    const Nesting nest(*this);
     if (lex_.peek().kind == TokKind::kInt) {
       const Value label = expect_int();
       expect_symbol(":");
@@ -277,6 +305,7 @@ class Parser {
   }
 
   ComPtr parse_block(Program& p) {
+    const Nesting nest(*this);
     expect_symbol("{");
     std::vector<ComPtr> body;
     while (!peek_symbol("}")) body.push_back(parse_stmt(p));
@@ -287,7 +316,10 @@ class Parser {
   // --- Expressions -----------------------------------------------------------
   // Precedence (low to high): || ; && ; == != < <= > >= ; + - ; * ; unary.
 
-  ExprPtr parse_expr(Program& p) { return parse_or(p); }
+  ExprPtr parse_expr(Program& p) {
+    const Nesting nest(*this);
+    return parse_or(p);
+  }
 
   ExprPtr parse_or(Program& p) {
     ExprPtr e = parse_and(p);
@@ -347,6 +379,7 @@ class Parser {
   }
 
   ExprPtr parse_unary(Program& p) {
+    const Nesting nest(*this);
     if (peek_symbol("!")) {
       lex_.next();
       return unary(UnOp::kNot, parse_unary(p));
@@ -385,7 +418,10 @@ class Parser {
 
   // --- Conditions -------------------------------------------------------------
 
-  CondPtr parse_cond(Program& p) { return parse_cond_or(p); }
+  CondPtr parse_cond(Program& p) {
+    const Nesting nest(*this);
+    return parse_cond_or(p);
+  }
 
   CondPtr parse_cond_or(Program& p) {
     CondPtr c = parse_cond_and(p);
@@ -406,6 +442,7 @@ class Parser {
   }
 
   CondPtr parse_cond_atom(Program& p) {
+    const Nesting nest(*this);
     if (peek_symbol("!")) {
       lex_.next();
       return cond_not(parse_cond_atom(p));
@@ -516,6 +553,7 @@ class Parser {
   }
 
   Lexer lex_;
+  int depth_ = 0;  ///< current nesting, bounded by kMaxNesting
 };
 
 }  // namespace

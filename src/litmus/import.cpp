@@ -172,6 +172,15 @@ std::string cond_to_internal(const CondNode& c) {
 
 // --- Parser ------------------------------------------------------------------
 
+/// Deepest condition nesting the importer accepts. Every production
+/// entered counts one level (a parenthesised group enters three: cexpr,
+/// conjunction, atom), and so does every further operand of a \/ or /\
+/// chain, so the bound covers both the parser's recursion and the depth of
+/// the condition tree that cond_to_herd / cond_to_internal recurse over.
+/// The deepest corpus condition reaches 6. Deeper input is rejected with
+/// an ImportError instead of overflowing the stack.
+constexpr int kMaxNesting = 256;
+
 class Importer {
  public:
   Importer(const std::string& text, const std::string& origin)
@@ -479,9 +488,33 @@ class Importer {
     out_.condition_internal = cond_to_internal(*cond);
   }
 
+  /// Condition nesting held for the lifetime of a recursive production;
+  /// deepen() adds one level for each further operand of a chain.
+  class Nesting {
+   public:
+    explicit Nesting(Importer& im) : im_(im), saved_(im.depth_) { deepen(); }
+    ~Nesting() { im_.depth_ = saved_; }
+    Nesting(const Nesting&) = delete;
+    Nesting& operator=(const Nesting&) = delete;
+
+    void deepen() {
+      if (im_.depth_ == kMaxNesting) {
+        im_.lex_.fail(util::cat("condition nested deeper than ", kMaxNesting,
+                                " levels"));
+      }
+      ++im_.depth_;
+    }
+
+   private:
+    Importer& im_;
+    int saved_;
+  };
+
   std::unique_ptr<CondNode> parse_cexpr() {
+    Nesting nest(*this);
     auto c = parse_cand();
     while (peek_symbol("\\/")) {
+      nest.deepen();
       lex_.next();
       auto n = std::make_unique<CondNode>();
       n->kind = CondNode::Kind::kOr;
@@ -493,8 +526,10 @@ class Importer {
   }
 
   std::unique_ptr<CondNode> parse_cand() {
+    Nesting nest(*this);
     auto c = parse_catom();
     while (peek_symbol("/\\")) {
+      nest.deepen();
       lex_.next();
       auto n = std::make_unique<CondNode>();
       n->kind = CondNode::Kind::kAnd;
@@ -506,6 +541,7 @@ class Importer {
   }
 
   std::unique_ptr<CondNode> parse_catom() {
+    const Nesting nest(*this);
     auto node = std::make_unique<CondNode>();
     if (peek_symbol("~")) {
       lex_.next();
@@ -724,6 +760,7 @@ class Importer {
   Lexer lex_;
   ImportedTest out_;
   std::vector<std::pair<int, std::string>> regs_;  ///< (thread, register)
+  int depth_ = 0;  ///< current condition nesting, bounded by kMaxNesting
 };
 
 const char* mo_name(ImportMo mo) {

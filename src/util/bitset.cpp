@@ -391,6 +391,23 @@ std::size_t Bitset::first() const {
   return size_;
 }
 
+std::size_t Bitset::last() const {
+  if (is_sparse()) {
+    const std::vector<Chunk>& chunks = *store_.sparse;
+    if (chunks.empty()) return size_;
+    return chunks.back().idx * std::size_t{64} + 63 -
+           static_cast<std::size_t>(__builtin_clzll(chunks.back().word));
+  }
+  const std::uint64_t* d = data();
+  for (std::uint32_t k = nwords_; k-- > 0;) {
+    if (d[k] != 0) {
+      return k * std::size_t{64} + 63 -
+             static_cast<std::size_t>(__builtin_clzll(d[k]));
+    }
+  }
+  return size_;
+}
+
 std::size_t Bitset::next(std::size_t i) const {
   ++i;
   if (i >= size_) return size_;

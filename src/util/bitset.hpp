@@ -272,6 +272,9 @@ class Bitset {
   /// Index of the lowest set bit strictly greater than i, or size() if none.
   [[nodiscard]] std::size_t next(std::size_t i) const;
 
+  /// Index of the highest set bit, or size() if empty.
+  [[nodiscard]] std::size_t last() const;
+
   Bitset& operator|=(const Bitset& o) {
     assert(size_ == o.size_);
     if (is_sparse() || o.is_sparse()) return sp_or(o);

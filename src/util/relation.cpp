@@ -5,66 +5,99 @@
 
 namespace rc11::util {
 
-void Relation::resize(std::size_t n) {
-  if (n == n_) return;  // the no-op resize is a hot caller pattern
-  if (n > cap_) {
-    // Geometric capacity growth: one append used to reallocate every row;
-    // reserving ahead makes the append-one-element pattern amortized O(rows).
-    reserve(std::max<std::size_t>({n, 2 * cap_, 16}));
-  }
-  n_ = n;
-  for (auto& r : rows_) r.resize(n);
-  if (rows_.size() > n) {
-    rows_.resize(n);
-  } else {
-    while (rows_.size() < n) {
-      Bitset row(n);
-      row.reserve(cap_);
-      rows_.push_back(std::move(row));
-    }
-  }
+Relation::Relation(const Relation& o)
+    : n_(o.n_),
+      inverse_(o.inverse_),
+      counted_(o.counted_),
+      rows_(o.rows_.begin(), o.rows_.begin() + static_cast<std::ptrdiff_t>(o.n_)),
+      indeg_(o.indeg_) {
   if (inverse_) {
-    for (auto& c : cols_) c.resize(n);
-    if (cols_.size() > n) {
-      cols_.resize(n);
-    } else {
-      while (cols_.size() < n) {
-        Bitset col(n);
-        col.reserve(cap_);
-        cols_.push_back(std::move(col));
-      }
-    }
+    cols_.assign(o.cols_.begin(),
+                 o.cols_.begin() + static_cast<std::ptrdiff_t>(o.n_));
   }
 }
 
-void Relation::reserve(std::size_t cap) {
-  if (cap <= cap_) return;
-  cap_ = cap;
-  rows_.reserve(cap);
-  for (auto& r : rows_) r.reserve(cap);
+Relation& Relation::operator=(const Relation& o) {
+  if (this == &o) return *this;
+  n_ = o.n_;
+  inverse_ = o.inverse_;
+  counted_ = o.counted_;
+  // assign() copy-assigns over the existing rows, so their storage is
+  // reused (the per-transition Config copy of the tree engines).
+  rows_.assign(o.rows_.begin(),
+               o.rows_.begin() + static_cast<std::ptrdiff_t>(o.n_));
   if (inverse_) {
-    cols_.reserve(cap);
-    for (auto& c : cols_) c.reserve(cap);
+    cols_.assign(o.cols_.begin(),
+                 o.cols_.begin() + static_cast<std::ptrdiff_t>(o.n_));
+  } else {
+    cols_.clear();
   }
+  indeg_ = o.indeg_;
+  return *this;
+}
+
+void Relation::resize(std::size_t n) {
+  if (n < n_) {
+    if (!inverse_ && !counted_) {
+      indeg_.assign(n_, 0);
+      for (std::size_t a = 0; a < n_; ++a) {
+        rows_[a].for_each([&](std::size_t b) { ++indeg_[b]; });
+      }
+      counted_ = true;
+    }
+    for (std::size_t k = n_; k-- > n;) drop(k);
+    n_ = n;
+    if (counted_) indeg_.resize(n);
+    return;
+  }
+  n_ = n;
+  if (rows_.size() < n) rows_.resize(n);
+  if (inverse_ && cols_.size() < n) cols_.resize(n);
+  if (counted_) indeg_.resize(n, 0);
+}
+
+void Relation::drop(std::size_t k) {
+  assert(k < n_);
+  Bitset& row = rows_[k];
+  if (inverse_) {
+    row.for_each([&](std::size_t b) { cols_[b].reset(k); });
+    row.clear();
+    Bitset& col = cols_[k];
+    col.for_each([&](std::size_t a) { rows_[a].reset(k); });
+    col.clear();
+    return;
+  }
+  row.for_each([&](std::size_t b) { --indeg_[b]; });
+  row.clear();
+  // Pairs into k: none when the caller removed them first; otherwise scan
+  // for the counted number. Elements above k are already dropped.
+  for (std::size_t a = 0, left = indeg_[k]; left != 0 && a < k; ++a) {
+    if (contains(a, k)) {
+      rows_[a].reset(k);
+      --left;
+    }
+  }
+  indeg_[k] = 0;
 }
 
 void Relation::enable_inverse() {
   if (inverse_) return;
   inverse_ = true;
-  rebuild_inverse();
+  reindex();
 }
 
-void Relation::rebuild_inverse() {
+void Relation::reindex() {
+  counted_ = false;
+  indeg_.clear();
   if (!inverse_) return;
   cols_.assign(n_, Bitset(n_));
-  for (auto& c : cols_) c.reserve(cap_);
   for (std::size_t a = 0; a < n_; ++a) {
     rows_[a].for_each([&](std::size_t b) { cols_[b].set(a); });
   }
 }
 
 Bitset Relation::column(std::size_t b) const {
-  if (inverse_) return cols_[b];
+  if (inverse_) return column_view(b);
   // O(n)-scan fallback — audited: no engine hot path lands here. The
   // incremental semantics keeps maintained inverses on hb/eco and reads
   // them through column_view(); mo predecessor queries scan only the
@@ -72,20 +105,38 @@ Bitset Relation::column(std::size_t b) const {
   // tests, diagnostics, and one-shot cold paths.
   Bitset out(n_);
   for (std::size_t a = 0; a < n_; ++a) {
-    if (rows_[a].test(b)) out.set(a);
+    if (contains(a, b)) out.set(a);
   }
   return out;
 }
 
 std::size_t Relation::pair_count() const {
   std::size_t n = 0;
-  for (const auto& r : rows_) n += r.count();
+  for (std::size_t a = 0; a < n_; ++a) n += rows_[a].count();
   return n;
 }
 
 bool Relation::empty() const {
-  for (const auto& r : rows_) {
-    if (!r.empty()) return false;
+  for (std::size_t a = 0; a < n_; ++a) {
+    if (!rows_[a].empty()) return false;
+  }
+  return true;
+}
+
+bool Relation::operator==(const Relation& o) const {
+  if (n_ != o.n_) return false;
+  for (std::size_t a = 0; a < n_; ++a) {
+    const Bitset& x = rows_[a];
+    const Bitset& y = o.rows_[a];
+    if (x.size() == y.size()) {
+      if (!(x == y)) return false;
+      continue;
+    }
+    // Different widths hold the same bits below n_ and none above, so
+    // widen a copy of the narrower row and compare.
+    Bitset wide = x.size() < y.size() ? x : y;
+    wide.resize(std::max(x.size(), y.size()));
+    if (!(wide == (x.size() < y.size() ? y : x))) return false;
   }
   return true;
 }
@@ -99,24 +150,31 @@ std::vector<std::pair<std::size_t, std::size_t>> Relation::pairs() const {
 }
 
 Relation& Relation::operator|=(const Relation& o) {
+  fit_rows();
+  o.fit_rows();
   for (std::size_t a = 0; a < n_; ++a) rows_[a] |= o.rows_[a];
-  rebuild_inverse();
+  reindex();
   return *this;
 }
 
 Relation& Relation::operator&=(const Relation& o) {
+  fit_rows();
+  o.fit_rows();
   for (std::size_t a = 0; a < n_; ++a) rows_[a] &= o.rows_[a];
-  rebuild_inverse();
+  reindex();
   return *this;
 }
 
 Relation& Relation::subtract(const Relation& o) {
+  fit_rows();
+  o.fit_rows();
   for (std::size_t a = 0; a < n_; ++a) rows_[a].subtract(o.rows_[a]);
-  rebuild_inverse();
+  reindex();
   return *this;
 }
 
 Relation Relation::compose(const Relation& o) const {
+  o.fit_rows();
   Relation out(n_);
   for (std::size_t a = 0; a < n_; ++a) {
     rows_[a].for_each([&](std::size_t b) { out.rows_[a] |= o.rows_[b]; });
@@ -125,6 +183,7 @@ Relation Relation::compose(const Relation& o) const {
 }
 
 Relation Relation::inverse_compose(const Relation& o) const {
+  o.fit_rows();
   Relation out(n_);
   for (std::size_t a = 0; a < n_; ++a) {
     if (o.rows_[a].empty()) continue;
@@ -144,7 +203,7 @@ Relation Relation::inverse() const {
 Relation Relation::restrict_to(const Bitset& s) const {
   Relation out(n_);
   s.for_each([&](std::size_t a) {
-    out.rows_[a] = rows_[a];
+    out.rows_[a] = row(a);
     out.rows_[a] &= s;
   });
   return out;
@@ -152,6 +211,7 @@ Relation Relation::restrict_to(const Bitset& s) const {
 
 Relation Relation::transitive_closure() const {
   Relation out = *this;
+  out.fit_rows();
   if (const auto order = topological_order()) {
     // Acyclic fast path (sb/hb/eco of consistent executions): sweep in
     // reverse topological order, so every direct successor's out-row is
@@ -161,7 +221,7 @@ Relation Relation::transitive_closure() const {
       const std::size_t a = *it;
       rows_[a].for_each([&](std::size_t b) { out.rows_[a] |= out.rows_[b]; });
     }
-    out.rebuild_inverse();
+    out.reindex();
     return out;
   }
   // Cyclic fallback: dirty-row worklist fixpoint. A pass only recomputes
@@ -203,7 +263,7 @@ Relation Relation::transitive_closure() const {
     }
     if (clean) break;
   }
-  out.rebuild_inverse();
+  out.reindex();
   return out;
 }
 
@@ -220,22 +280,16 @@ Relation Relation::reflexive_closure() const {
 }
 
 void Relation::add_identity() {
-  for (std::size_t a = 0; a < n_; ++a) {
-    rows_[a].set(a);
-    if (inverse_) cols_[a].set(a);
-  }
+  for (std::size_t a = 0; a < n_; ++a) add(a, a);
 }
 
 void Relation::remove_identity() {
-  for (std::size_t a = 0; a < n_; ++a) {
-    rows_[a].reset(a);
-    if (inverse_) cols_[a].reset(a);
-  }
+  for (std::size_t a = 0; a < n_; ++a) remove(a, a);
 }
 
 bool Relation::is_irreflexive() const {
   for (std::size_t a = 0; a < n_; ++a) {
-    if (rows_[a].test(a)) return false;
+    if (contains(a, a)) return false;
   }
   return true;
 }
@@ -310,9 +364,14 @@ Bitset Relation::reachable_from(std::size_t a) const {
 }
 
 std::size_t Relation::hash() const {
+  // Over the pairs, not Bitset::hash, which depends on each row's width.
   std::size_t h = 14695981039346656037ull ^ n_;
-  for (const auto& r : rows_) {
-    h ^= r.hash();
+  for (std::size_t a = 0; a < n_; ++a) {
+    rows_[a].for_each([&](std::size_t b) {
+      h ^= a * 0x9e3779b97f4a7c15ull + b;
+      h *= 1099511628211ull;
+    });
+    h ^= 0xff;
     h *= 1099511628211ull;
   }
   return h;

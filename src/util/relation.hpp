@@ -8,6 +8,7 @@
 
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <utility>
@@ -18,6 +19,27 @@
 namespace rc11::util {
 
 /// A binary relation R over {0..n-1}; row i is the set { j | (i,j) in R }.
+///
+/// Rows (and mirror columns) are sized lazily. The relation keeps one
+/// universe size n; a stored row may be narrower or wider than n and is
+/// brought up to n only when it is next touched, so growing or shrinking
+/// the universe does not walk every row. Invariant: no stored row, mirror
+/// column or spare row holds a bit at an index >= n. A narrower row
+/// therefore lacks only absent pairs, and a wider one only zero bits.
+///
+/// Thread safety. The accessors that hand out a row or column by reference
+/// (row, column_view) and the bulk operations that read rows through them
+/// bring the row to size first, writing through mutable storage; contains,
+/// pairs, pair_count, empty, operator==, hash and copying never write. So a
+/// relation is safe to read from several threads only through the
+/// non-writing group. In this library the only executions read by several
+/// threads at once are the tree-engine nodes of the parallel DPOR engines
+/// (dpor.cpp, optimal.cpp): other workers copy a node's Config
+/// (`child->config = n.config`) and test mo pairs with contains(); every
+/// row read runs on a Config that one worker owns (a child before it is
+/// published, or a worker's cursor). A Visitor::on_transition hook, which
+/// receives the shared parent Config, is not installed by any parallel
+/// query.
 class Relation {
  public:
   Relation() = default;
@@ -25,53 +47,83 @@ class Relation {
   /// Empty relation over an n-element universe.
   explicit Relation(std::size_t n) : n_(n), rows_(n, Bitset(n)) {}
 
+  /// Copies carry only the live rows (no spare rows); row widths are
+  /// copied as they are.
+  Relation(const Relation& o);
+  Relation& operator=(const Relation& o);
+  Relation(Relation&&) noexcept = default;
+  Relation& operator=(Relation&&) noexcept = default;
+
   [[nodiscard]] std::size_t size() const { return n_; }
 
   /// Resizes the universe to n elements, preserving the pairs whose
-  /// endpoints survive. Growth reserves capacity geometrically (each row's
-  /// words plus the row vector itself), so the append-one-event pattern of
-  /// the incremental semantics engine does not reallocate every row on
-  /// every append; shrink keeps the storage for the next grow.
+  /// endpoints survive. Growing costs O(1) amortized per element: new
+  /// elements get spare rows (or fresh empty ones) that are sized when
+  /// first touched. Shrinking clears only the dropped elements' pairs: with
+  /// the inverse maintained both sides are found through it; without it,
+  /// out-pairs come from the element's own row and in-pairs through a
+  /// per-column in-degree, kept from the relation's first shrink on (which
+  /// counts once), so a column the caller has already emptied costs
+  /// nothing and only a nonempty one is scanned for. Dropped rows stay
+  /// allocated as spare rows for the next grow.
   void resize(std::size_t n);
 
-  /// Pre-allocates storage for a universe of `cap` elements (rows and, when
-  /// the inverse is maintained, columns) without changing the logical size.
-  void reserve(std::size_t cap);
-
   [[nodiscard]] bool contains(std::size_t a, std::size_t b) const {
-    return rows_[a].test(b);
+    assert(a < n_ && b < n_);
+    const Bitset& r = rows_[a];
+    return b < r.size() && r.test(b);
   }
 
   void add(std::size_t a, std::size_t b) {
-    rows_[a].set(b);
-    if (inverse_) cols_[b].set(a);
+    Bitset& r = fit(rows_[a]);
+    if (counted_) {
+      if (r.test(b)) return;
+      ++indeg_[b];
+    }
+    r.set(b);
+    if (inverse_) fit(cols_[b]).set(a);
   }
   void remove(std::size_t a, std::size_t b) {
+    if (!contains(a, b)) return;
     rows_[a].reset(b);
-    if (inverse_) cols_[b].reset(a);
+    if (inverse_) {
+      cols_[b].reset(a);
+    } else if (counted_) {
+      --indeg_[b];
+    }
   }
 
   /// Batch column write: adds (a, b) for every a in `as` (a Bitset over
   /// the same universe). With the inverse maintained, the mirror update is
   /// a single word-level union instead of one set() per predecessor.
   void add_to_column(std::size_t b, const Bitset& as) {
-    as.for_each([&](std::size_t a) { rows_[a].set(b); });
-    if (inverse_) cols_[b] |= as;
+    if (inverse_) {
+      as.for_each([&](std::size_t a) { fit(rows_[a]).set(b); });
+      fit(cols_[b]) |= as;
+      return;
+    }
+    as.for_each([&](std::size_t a) { add(a, b); });
   }
 
   /// Batch row write: adds (a, b) for every b in `bs` — the row side is a
   /// single word-level union.
   void add_to_row(std::size_t a, const Bitset& bs) {
-    rows_[a] |= bs;
-    if (inverse_) bs.for_each([&](std::size_t b) { cols_[b].set(a); });
+    Bitset& r = fit(rows_[a]);
+    if (inverse_) {
+      bs.for_each([&](std::size_t b) { fit(cols_[b]).set(a); });
+    } else if (counted_) {
+      bs.for_each([&](std::size_t b) {
+        if (!r.test(b)) ++indeg_[b];
+      });
+    }
+    r |= bs;
   }
 
-  /// Row a: successors of a. The mutable overload bypasses inverse
-  /// maintenance and asserts it is off.
-  [[nodiscard]] const Bitset& row(std::size_t a) const { return rows_[a]; }
-  [[nodiscard]] Bitset& row(std::size_t a) {
-    assert(!inverse_);
-    return rows_[a];
+  /// Row a: successors of a, brought to the universe size (see the
+  /// thread-safety note above).
+  [[nodiscard]] const Bitset& row(std::size_t a) const {
+    assert(a < n_);
+    return fit(rows_[a]);
   }
 
   /// Column b: predecessors of b (O(n) scan, or a copy of the maintained
@@ -89,16 +141,18 @@ class Relation {
   void enable_inverse();
   [[nodiscard]] bool inverse_enabled() const { return inverse_; }
 
-  /// Column b as a view of the maintained mirror; requires enable_inverse().
+  /// Column b as a view of the maintained mirror, brought to the universe
+  /// size; requires enable_inverse().
   [[nodiscard]] const Bitset& column_view(std::size_t b) const {
-    assert(inverse_);
-    return cols_[b];
+    assert(inverse_ && b < n_);
+    return fit(cols_[b]);
   }
 
   /// Heap bytes held by all row (and mirror column) representations —
   /// dense-vs-sparse footprint comparisons in benches.
   [[nodiscard]] std::size_t storage_bytes() const {
-    std::size_t b = (rows_.capacity() + cols_.capacity()) * sizeof(Bitset);
+    std::size_t b = (rows_.capacity() + cols_.capacity()) * sizeof(Bitset) +
+                    indeg_.capacity() * sizeof(std::uint32_t);
     for (const Bitset& r : rows_) b += r.storage_bytes();
     for (const Bitset& c : cols_) b += c.storage_bytes();
     return b;
@@ -172,9 +226,8 @@ class Relation {
   /// without building the full closure (used for reachability queries).
   [[nodiscard]] Bitset reachable_from(std::size_t a) const;
 
-  [[nodiscard]] bool operator==(const Relation& o) const {
-    return n_ == o.n_ && rows_ == o.rows_;
-  }
+  /// Equal universes and pairs (row widths do not matter).
+  [[nodiscard]] bool operator==(const Relation& o) const;
 
   [[nodiscard]] std::size_t hash() const;
 
@@ -182,13 +235,36 @@ class Relation {
   [[nodiscard]] std::string to_string() const;
 
  private:
-  void rebuild_inverse();
+  /// Brings a stored row or column to the universe size.
+  Bitset& fit(Bitset& r) const {
+    if (r.size() != n_) r.resize(n_);
+    return r;
+  }
+
+  /// Brings every live row to the universe size (bulk kernels).
+  void fit_rows() const {
+    for (std::size_t a = 0; a < n_; ++a) fit(rows_[a]);
+  }
+
+  /// Clears every pair incident to element k, the top of the universe.
+  void drop(std::size_t k);
+
+  /// Rebuilds the mirror columns (inverse on), or stops the in-degree
+  /// count (inverse off), after a bulk write to the rows.
+  void reindex();
 
   std::size_t n_ = 0;
-  std::size_t cap_ = 0;  ///< reserved universe size (geometric growth)
   bool inverse_ = false;
-  std::vector<Bitset> rows_;
-  std::vector<Bitset> cols_;  ///< column mirror, maintained when inverse_
+  /// indeg_ holds the in-degree of every column. A relation without an
+  /// inverse starts counting at its first shrink, so relations that only
+  /// grow (every copy-only tree-engine Config, every derived relation)
+  /// carry no counts; bulk writes stop the count until the next shrink.
+  bool counted_ = false;
+  /// rows_.size() >= n_ (and cols_.size() >= n_ with the inverse); entries
+  /// past n_ are empty spare rows. Mutable: see the thread-safety note.
+  mutable std::vector<Bitset> rows_;
+  mutable std::vector<Bitset> cols_;  ///< column mirror, maintained when inverse_
+  std::vector<std::uint32_t> indeg_;  ///< in-degree per column, if counted_
 };
 
 }  // namespace rc11::util

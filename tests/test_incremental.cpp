@@ -28,6 +28,10 @@
 //     caches still match the oracles (undo/redo sequences stay exact —
 //     each sibling subtree is an apply/undo cycle at its node).
 //
+// A long single descent (600+ events) checks the same caches every 16
+// levels, past the sizes where relation rows leave their inline words and
+// turn sparse.
+//
 // A second walk pushes every candidate step *before* the Sc filter at
 // every state of the SC and fence programs and asserts that
 // sc_ok_after_push agrees with check_sc, rejections included.
@@ -185,6 +189,76 @@ TEST(Incremental, FuzzSweepAgreesWithOracleOn200Programs) {
         p.to_string();
     walk_program(p, /*budget=*/80, tag);
     if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(Incremental, LongDescentPastRowStorageThresholdsAgreesWithOracle) {
+  // Every other program here stays at or under 128 events, so no push or
+  // pop there crosses the Bitset row boundaries: 128 elements (inline
+  // words to heap) and 512 (dense to sparse). One generated straight-line
+  // program long enough for a single descent to pass 600 events; the
+  // caches are checked against the from-scratch oracles every 16 levels on
+  // the way down and again on the way back up, where the fingerprint must
+  // also equal the one recorded at that level on the way down. The
+  // enumerated steps are checked against successors() every 64 levels (at
+  // this size one successors() call costs as much as four cache checks).
+  // A fixed draw: thread lengths are random, and this seed gives the
+  // three threads 644 statements (one event each) in all.
+  lang::GeneratorOptions o;
+  o.seed = 3;
+  o.threads = 3;
+  o.vars = 3;
+  o.max_value = 2;
+  o.stmts_per_thread = 300;
+  o.allow_if = false;
+  o.allow_fences = true;
+  const lang::Program p = generate_program(o);
+  const std::string tag = "long descent";
+  constexpr std::size_t kEvery = 16;
+  constexpr std::size_t kStepsEvery = 64;
+
+  const interp::StepOptions opts;
+  interp::Config c = interp::initial_config(p);
+  std::mt19937 rng(o.seed);
+  std::vector<interp::StepUndo> undo;
+  std::vector<util::Fingerprint> fps;
+  std::vector<interp::Step> steps;
+  for (std::size_t d = 0;; ++d) {
+    fps.push_back(c.fingerprint());
+    interp::enumerate_steps(c, opts, steps);
+    if (d % kEvery == 0) {
+      const std::string at = tag + " down at depth " + std::to_string(d);
+      check_cache(c, at);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    if (d % kStepsEvery == 0) {
+      const std::string at = tag + " steps at depth " + std::to_string(d);
+      const std::vector<interp::ConfigStep> oracle =
+          interp::successors(c, opts);
+      ASSERT_EQ(steps.size(), oracle.size()) << at;
+      for (std::size_t i = 0; i < steps.size(); ++i) {
+        ASSERT_EQ(steps[i].thread, oracle[i].thread) << at;
+        if (!steps[i].silent) {
+          ASSERT_EQ(steps[i].observed, oracle[i].observed) << at;
+          ASSERT_EQ(steps[i].action, oracle[i].action) << at;
+        }
+      }
+    }
+    if (steps.empty()) break;
+    undo.emplace_back();
+    (void)interp::apply_step(c, steps[rng() % steps.size()], opts,
+                             undo.back());
+  }
+  ASSERT_TRUE(c.terminated()) << tag;
+  ASSERT_GT(c.exec.size(), 600u) << tag;
+
+  for (std::size_t d = undo.size(); d-- > 0;) {
+    interp::undo_step(c, undo[d]);
+    ASSERT_EQ(c.fingerprint(), fps[d]) << tag << " up at depth " << d;
+    if (d % kEvery == 0) {
+      check_cache(c, tag + " up at depth " + std::to_string(d));
+      if (::testing::Test::HasFatalFailure()) return;
+    }
   }
 }
 

@@ -116,6 +116,54 @@ TEST(LitmusImport, RejectsTrailingGarbage) {
   EXPECT_NE(err.find("trailing"), std::string::npos) << err;
 }
 
+/// A one-thread test whose exists clause is `cond`.
+std::string with_condition(const std::string& cond) {
+  return "C deep\n{ x = 0; }\nP0 (atomic_int* x) {\n"
+         "  atomic_store_explicit(x, 1, memory_order_relaxed);\n}\n"
+         "exists (" +
+         cond + ")\n";
+}
+
+std::string repeat(const std::string& s, int n) {
+  std::string out;
+  for (int i = 0; i < n; ++i) out += s;
+  return out;
+}
+
+// Each condition below is nested 100,000 deep, which overflows the stack
+// of an importer without a depth bound.
+
+TEST(LitmusImport, RejectsDeeplyParenthesizedCondition) {
+  const std::string err = import_error(
+      with_condition(repeat("(", 100000) + "x=1" + repeat(")", 100000)));
+  EXPECT_NE(err.find("test.litmus:6:"), std::string::npos) << err;
+  EXPECT_NE(err.find("nested deeper than"), std::string::npos) << err;
+}
+
+TEST(LitmusImport, RejectsLongNegationChain) {
+  const std::string err =
+      import_error(with_condition(repeat("~", 100000) + "x=1"));
+  EXPECT_NE(err.find("test.litmus:6:"), std::string::npos) << err;
+  EXPECT_NE(err.find("nested deeper than"), std::string::npos) << err;
+}
+
+TEST(LitmusImport, RejectsLongDisjunctionChain) {
+  // Not recursive in the parser, but it builds a condition tree 100,000
+  // deep that the renderers recurse over.
+  const std::string err =
+      import_error(with_condition("x=1" + repeat(" \\/ x=1", 100000)));
+  EXPECT_NE(err.find("test.litmus:6:"), std::string::npos) << err;
+  EXPECT_NE(err.find("nested deeper than"), std::string::npos) << err;
+}
+
+TEST(LitmusImport, AcceptsNestingBelowTheBound) {
+  const ImportedTest t = import_litmus(
+      with_condition(repeat("~(", 40) + "x=1" + repeat(")", 40) +
+                     repeat(" /\\ x=1", 30)),
+      "test.litmus");
+  EXPECT_NO_THROW((void)lang::parse_litmus(t.source));
+}
+
 TEST(LitmusImport, RejectsMissingCondition) {
   const std::string err = import_error("C t\n{ x = 0; }\nP0 { x = 1; }\n");
   EXPECT_NE(err.find("expected final condition"), std::string::npos) << err;

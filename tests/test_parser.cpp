@@ -1,10 +1,39 @@
 // Tests for the litmus text-format parser.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "lang/parser.hpp"
 
 namespace rc11::lang {
 namespace {
+
+/// `s` repeated n times.
+std::string repeat(const std::string& s, int n) {
+  std::string out;
+  out.reserve(s.size() * static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) out += s;
+  return out;
+}
+
+/// Expects `src` to be rejected for its nesting depth with a ParseError
+/// located on `line`. Each input below is nested 100,000 deep, which
+/// overflows the stack of a parser without a depth bound.
+void expect_too_deep(const std::string& src, int line) {
+  try {
+    (void)parse_litmus(src);
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("line " + std::to_string(line) + ","),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("nested deeper than"), std::string::npos) << what;
+  }
+}
+
+constexpr int kDeep = 100000;
+const std::string kHead = "litmus Deep\nvar x = 0\nthread 1 {\n";
 
 TEST(Parser, ParsesMinimalTest) {
   const auto p = parse_litmus(R"(litmus Mini
@@ -175,6 +204,48 @@ thread 1 { r0 := 1 + 2 * 3; }
   const ComPtr c = p.program.thread(1);
   ASSERT_EQ(c->kind, ComKind::kRegAssign);
   EXPECT_EQ(eval_closed(c->expr), 7);
+}
+
+TEST(Parser, RejectsDeeplyParenthesizedExpression) {
+  expect_too_deep(kHead + "r0 := " + repeat("(", kDeep) + "1" +
+                      repeat(")", kDeep) + ";\n}\n",
+                  4);
+}
+
+TEST(Parser, RejectsLongNotChain) {
+  expect_too_deep(kHead + "r0 := " + repeat("!", kDeep) + "x;\n}\n", 4);
+}
+
+TEST(Parser, RejectsLongMinusChain) {
+  expect_too_deep(kHead + "r0 := " + repeat("-", kDeep) + "x;\n}\n", 4);
+}
+
+TEST(Parser, RejectsDeeplyNestedIf) {
+  expect_too_deep(kHead + repeat("if (x == 0) {\n", kDeep) + "skip;" +
+                      repeat("}", kDeep) + "\n}\n",
+                  131);
+}
+
+TEST(Parser, RejectsDeeplyNestedWhile) {
+  expect_too_deep(kHead + repeat("while (x == 1) {\n", kDeep) + "skip;" +
+                      repeat("}", kDeep) + "\n}\n",
+                  131);
+}
+
+TEST(Parser, RejectsDeeplyNestedCondition) {
+  expect_too_deep(kHead + "x := 1;\n}\nexists (" + repeat("(", kDeep) +
+                      "x == 1" + repeat(")", kDeep) + ")\n",
+                  6);
+}
+
+TEST(Parser, AcceptsNestingBelowTheBound) {
+  const auto p = parse_litmus(kHead + "r0 := " + repeat("(", 60) + "x" +
+                              repeat(")", 60) + ";\n" +
+                              repeat("if (x == 0) {\n", 60) + "skip;" +
+                              repeat("}", 60) + "\n}\nexists (" +
+                              repeat("!(", 40) + "x == 1" + repeat(")", 40) +
+                              ")\n");
+  EXPECT_EQ(p.program.thread_count(), 1u);
 }
 
 TEST(Parser, RoundTripsProgramToString) {

@@ -5,8 +5,9 @@
 // Two layers:
 //
 //   * a seeded randomized differential — the same mutation sequence is
-//     replayed against a dense-pinned and a sparse-pinned Relation and
-//     every queryable surface is compared;
+//     replayed against a dense-pinned and a sparse-pinned Relation and a
+//     std::set-of-pairs model, and every queryable surface is compared
+//     (the model also pins the lazily-sized resize contract);
 //   * an end-to-end cross-check — litmus-catalogue programs are explored
 //     with every row forced sparse, and the final-execution fingerprint
 //     sets, outcome sets and verdicts must match the default (hybrid)
@@ -14,8 +15,10 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <optional>
 #include <random>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "lang/parser.hpp"
@@ -44,43 +47,143 @@ class ThresholdGuard {
 constexpr std::size_t kForceDense = ~std::size_t{0} >> 1;
 constexpr std::size_t kForceSparse = 0;
 
-/// One randomized mutation applied identically to both relations.
-void mutate(util::Relation& r, std::mt19937& rng) {
-  const std::size_t n = r.size();
+/// One randomized mutation, drawn once and applied identically to the
+/// dense relation, the sparse relation and the reference model.
+struct Op {
+  enum Kind { kAdd, kRemove, kGrow, kShrink, kAddColumn, kAddRow } kind = kAdd;
+  std::size_t a = 0;  ///< source, or the column / row of a batch write
+  std::size_t b = 0;  ///< target, or the new universe size of a resize
+  std::vector<std::size_t> batch;  ///< members of a batch write
+};
+
+Op draw(std::size_t n, std::mt19937& rng) {
+  Op op;
   switch (rng() % 8) {
     case 0:
     case 1:
-    case 2: {  // add dominates: relations in the engine mostly grow
+    case 2:  // add dominates: relations in the engine mostly grow
+      op.kind = Op::kAdd;
+      break;
+    case 3:
+      op.kind = Op::kRemove;
+      break;
+    case 4:  // grow by 1-3 (the append-one-event pattern)
+      op.kind = Op::kGrow;
+      op.b = n + 1 + rng() % 3;
+      return op;
+    case 5:  // shrink by 1-3 (the undo path; dropped pairs must vanish)
+      op.kind = Op::kShrink;
+      op.b = n > 4 ? n - 1 - rng() % 3 : n;
+      return op;
+    case 6:  // batch column write (the hb/eco push_event kernel)
+      op.kind = Op::kAddColumn;
+      break;
+    case 7:  // batch row write
+      op.kind = Op::kAddRow;
+      break;
+  }
+  if (n == 0) return op;
+  op.a = rng() % n;
+  op.b = rng() % n;
+  if (op.kind == Op::kAddColumn || op.kind == Op::kAddRow) {
+    for (std::size_t k = 0; k < n / 3 + 1; ++k) op.batch.push_back(rng() % n);
+  }
+  return op;
+}
+
+void apply(const Op& op, util::Relation& r) {
+  const std::size_t n = r.size();
+  switch (op.kind) {
+    case Op::kAdd:
+      if (n != 0) r.add(op.a, op.b);
+      break;
+    case Op::kRemove:
+      if (n != 0) r.remove(op.a, op.b);
+      break;
+    case Op::kGrow:
+    case Op::kShrink:
+      r.resize(op.b);
+      break;
+    case Op::kAddColumn:
+    case Op::kAddRow: {
       if (n == 0) break;
-      r.add(rng() % n, rng() % n);
+      util::Bitset set(n);
+      for (std::size_t v : op.batch) set.set(v);
+      if (op.kind == Op::kAddColumn) {
+        r.add_to_column(op.b, set);
+      } else {
+        r.add_to_row(op.a, set);
+      }
       break;
     }
-    case 3: {
-      if (n == 0) break;
-      r.remove(rng() % n, rng() % n);
-      break;
+  }
+}
+
+/// The reference: a universe size and a std::set of pairs, independent of
+/// Relation's row storage, widths and spare rows.
+struct Model {
+  std::size_t n = 0;
+  std::set<std::pair<std::size_t, std::size_t>> pairs;
+
+  void apply(const Op& op) {
+    switch (op.kind) {
+      case Op::kAdd:
+        if (n != 0) pairs.emplace(op.a, op.b);
+        break;
+      case Op::kRemove:
+        if (n != 0) pairs.erase({op.a, op.b});
+        break;
+      case Op::kGrow:
+      case Op::kShrink:
+        n = op.b;
+        std::erase_if(pairs, [&](const auto& p) {
+          return p.first >= n || p.second >= n;
+        });
+        break;
+      case Op::kAddColumn:
+        if (n != 0) {
+          for (std::size_t v : op.batch) pairs.emplace(v, op.b);
+        }
+        break;
+      case Op::kAddRow:
+        if (n != 0) {
+          for (std::size_t v : op.batch) pairs.emplace(op.a, v);
+        }
+        break;
     }
-    case 4: {  // grow (the append-one-event pattern)
-      r.resize(n + 1 + rng() % 3);
-      break;
+  }
+};
+
+/// Compares r against the model through the accessors that do not size
+/// rows (contains, pairs, pair_count) and then through row(a) and, with the
+/// inverse on, column_view(a) for the elements in `probe` (which sizes
+/// them, so probing only some rows leaves the others lazily sized).
+void expect_matches(const util::Relation& r, const Model& m,
+                    const std::vector<std::size_t>& probe,
+                    const std::string& where) {
+  ASSERT_EQ(r.size(), m.n) << where;
+  const std::vector<std::pair<std::size_t, std::size_t>> want(m.pairs.begin(),
+                                                              m.pairs.end());
+  ASSERT_EQ(r.pairs(), want) << where;
+  ASSERT_EQ(r.pair_count(), m.pairs.size()) << where;
+  for (std::size_t a = 0; a < m.n; ++a) {
+    for (std::size_t b = 0; b < m.n; ++b) {
+      ASSERT_EQ(r.contains(a, b), m.pairs.count({a, b}) == 1)
+          << where << " pair (" << a << "," << b << ")";
     }
-    case 5: {  // occasional shrink exercises the keep-storage path
-      if (n > 4) r.resize(n - 1 - rng() % 3);
-      break;
+  }
+  for (std::size_t a : probe) {
+    if (a >= m.n) continue;
+    std::vector<std::size_t> succ, pred;
+    for (const auto& [x, y] : m.pairs) {
+      if (x == a) succ.push_back(y);
+      if (y == a) pred.push_back(x);
     }
-    case 6: {  // batch column write (the hb/eco push_event kernel)
-      if (n == 0) break;
-      util::Bitset as(n);
-      for (std::size_t k = 0; k < n / 3 + 1; ++k) as.set(rng() % n);
-      r.add_to_column(rng() % n, as);
-      break;
-    }
-    case 7: {  // batch row write
-      if (n == 0) break;
-      util::Bitset bs(n);
-      for (std::size_t k = 0; k < n / 3 + 1; ++k) bs.set(rng() % n);
-      r.add_to_row(rng() % n, bs);
-      break;
+    ASSERT_EQ(r.row(a).size(), m.n) << where;
+    ASSERT_EQ(r.row(a).elements(), succ) << where << " row " << a;
+    if (r.inverse_enabled()) {
+      ASSERT_EQ(r.column_view(a).size(), m.n) << where;
+      ASSERT_EQ(r.column_view(a).elements(), pred) << where << " column " << a;
     }
   }
 }
@@ -127,41 +230,75 @@ bool operator==(const Observation& a, const Observation& b) {
 }
 
 TEST(RelationSparse, RandomizedOpSequencesMatchDense) {
+  // Three sides per op sequence: a dense-pinned Relation, a sparse-pinned
+  // Relation and a std::set model, so a resize bug that both
+  // representations share still shows. A copy taken halfway must not see
+  // the original's later ops.
   constexpr unsigned kSeeds = 20;
   constexpr std::size_t kOps = 120;
   for (unsigned seed = 1; seed <= kSeeds; ++seed) {
-    // Two rng copies: both sides must see identical random draws.
-    std::mt19937 rng_dense(seed);
-    std::mt19937 rng_sparse(seed);
+    std::mt19937 rng(seed);
+    const bool inverse = seed % 2 == 0;
 
     util::Relation dense;
     util::Relation sparse;
+    Model model;
     {
       const ThresholdGuard g(kForceDense);
       dense.resize(8);
-      if (seed % 2 == 0) dense.enable_inverse();
+      if (inverse) dense.enable_inverse();
     }
     {
       const ThresholdGuard g(kForceSparse);
       sparse.resize(8);
-      if (seed % 2 == 0) sparse.enable_inverse();
+      if (inverse) sparse.enable_inverse();
     }
+    model.n = 8;
 
-    for (std::size_t op = 0; op < kOps; ++op) {
+    std::optional<util::Relation> dense_copy;
+    std::optional<util::Relation> sparse_copy;
+    Model model_copy;
+    for (std::size_t op_index = 0; op_index < kOps; ++op_index) {
+      if (op_index == kOps / 2) {
+        dense_copy = dense;
+        sparse_copy = sparse;
+        model_copy = model;
+      }
+      const Op op = draw(model.n, rng);
       {
         const ThresholdGuard g(kForceDense);
-        mutate(dense, rng_dense);
+        apply(op, dense);
       }
       {
         const ThresholdGuard g(kForceSparse);
-        mutate(sparse, rng_sparse);
+        apply(op, sparse);
       }
-      ASSERT_EQ(dense.size(), sparse.size()) << "seed " << seed;
+      model.apply(op);
+      const std::string where =
+          "seed " + std::to_string(seed) + " op " + std::to_string(op_index);
+      // Probe one row per op, so most rows stay lazily sized between ops.
+      const std::vector<std::size_t> probe = {op_index % (model.n + 1)};
+      {
+        const ThresholdGuard g(kForceDense);
+        expect_matches(dense, model, probe, where + " dense");
+      }
+      {
+        const ThresholdGuard g(kForceSparse);
+        expect_matches(sparse, model, probe, where + " sparse");
+      }
+      if (::testing::Test::HasFatalFailure()) return;
       // Mixed-representation equality must hold directly.
       ASSERT_TRUE(dense == sparse)
-          << "seed " << seed << " op " << op << "\ndense:  "
-          << dense.to_string() << "\nsparse: " << sparse.to_string();
+          << where << "\ndense:  " << dense.to_string()
+          << "\nsparse: " << sparse.to_string();
     }
+
+    std::vector<std::size_t> all(model_copy.n);
+    for (std::size_t a = 0; a < all.size(); ++a) all[a] = a;
+    expect_matches(*dense_copy, model_copy, all,
+                   "seed " + std::to_string(seed) + " dense copy");
+    expect_matches(*sparse_copy, model_copy, all,
+                   "seed " + std::to_string(seed) + " sparse copy");
 
     Observation od, os;
     {
@@ -173,7 +310,7 @@ TEST(RelationSparse, RandomizedOpSequencesMatchDense) {
       os = observe(sparse);
     }
     EXPECT_TRUE(od == os) << "divergent observation at seed " << seed;
-    if (seed % 2 == 0) {
+    if (inverse) {
       for (std::size_t b = 0; b < dense.size(); ++b) {
         ASSERT_TRUE(dense.column_view(b) == sparse.column_view(b))
             << "seed " << seed << " column " << b;

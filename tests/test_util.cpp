@@ -49,6 +49,28 @@ TEST(Bitset, FirstAndNextIterate) {
   EXPECT_EQ(b.next(199), 200u);
 }
 
+TEST(Bitset, LastFindsHighestMember) {
+  Bitset inline_words(100);
+  EXPECT_EQ(inline_words.last(), 100u);
+  inline_words.set(3);
+  inline_words.set(70);
+  EXPECT_EQ(inline_words.last(), 70u);
+
+  Bitset heap(300);
+  heap.set(5);
+  heap.set(256);
+  EXPECT_EQ(heap.last(), 256u);
+  heap.reset(256);
+  EXPECT_EQ(heap.last(), 5u);
+
+  Bitset sparse(1000);  // past the default sparse threshold
+  ASSERT_TRUE(sparse.is_sparse());
+  EXPECT_EQ(sparse.last(), 1000u);
+  sparse.set(10);
+  sparse.set(777);
+  EXPECT_EQ(sparse.last(), 777u);
+}
+
 TEST(Bitset, ForEachVisitsAscending) {
   Bitset b(70);
   b.set(69);
