@@ -146,6 +146,14 @@ class Execution {
     return cache_.valid ? &cache_.hb : nullptr;
   }
 
+  /// The canonical id of every event as push_event maintains it, or null
+  /// while the cache is invalid. An event of thread t packs
+  /// (t << 32) | sb-position; an initialising write packs
+  /// (var << 8) | occurrence among the initialising writes of var.
+  [[nodiscard]] const std::vector<std::uint64_t>* cids_if_cached() const {
+    return cache_.valid ? &cache_.cid : nullptr;
+  }
+
   /// Cached derived state (ensure_cache() is called internally).
   [[nodiscard]] const util::Relation& cached_hb();
   [[nodiscard]] const util::Relation& cached_eco();

@@ -183,8 +183,9 @@ struct StepOptions {
 // come from the Execution's incremental cache). apply_step performs one
 // such transition on the Config *in place*, recording exactly what it
 // changed in a StepUndo; undo_step reverts it (LIFO). A depth-first
-// explorer therefore mutates one spine Config and only materializes copies
-// at frontier handoff points (parallel deque pushes, DPOR tree nodes).
+// explorer therefore mutates one spine Config; the work-stealing engines
+// keep one such Config per worker (mc/cursor.hpp), and only the optimal
+// DPOR engine's tree nodes still materialize copies.
 //
 // enumerate_steps(c) followed by apply_step(c, out[i]) reaches a
 // configuration isomorphic (equal canonical key and fingerprint) to

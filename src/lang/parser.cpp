@@ -1,6 +1,7 @@
 #include "lang/parser.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <optional>
 #include <vector>
 
@@ -60,13 +61,20 @@ class Lexer {
       return;
     }
     if (std::isdigit(static_cast<unsigned char>(c))) {
-      Value v = 0;
+      const std::size_t start = pos_;
       while (pos_ < src_.size() &&
              std::isdigit(static_cast<unsigned char>(src_[pos_]))) {
-        v = v * 10 + (take() - '0');
+        take();
+      }
+      const char* first = src_.data() + start;
+      const char* last = src_.data() + pos_;
+      if (std::from_chars(first, last, tok_.value).ec != std::errc()) {
+        throw ParseError(util::cat("parse error at line ", tok_.line, ", col ",
+                                   tok_.col, ": integer literal ",
+                                   std::string(first, last),
+                                   " does not fit a 64-bit value"));
       }
       tok_.kind = TokKind::kInt;
-      tok_.value = v;
       return;
     }
     // Multi-character symbols, longest first.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -20,6 +21,7 @@ enum class TokKind : std::uint8_t { kIdent, kInt, kSymbol, kEof };
 struct Tok {
   TokKind kind = TokKind::kEof;
   std::string text;
+  std::int64_t value = 0;  ///< kInt: the literal's value
   int line = 0;
 };
 
@@ -97,6 +99,12 @@ class Lexer {
       while (std::isdigit(static_cast<unsigned char>(ch()))) {
         t.text += ch();
         advance();
+      }
+      // Constants become 64-bit lang::Values in the translated program.
+      const char* end = t.text.data() + t.text.size();
+      if (std::from_chars(t.text.data(), end, t.value).ec != std::errc()) {
+        fail(t.line, util::cat("integer literal ", t.text,
+                               " does not fit a 64-bit value"));
       }
       return t;
     }
@@ -642,7 +650,7 @@ class Importer {
       neg = true;
     }
     const Tok t = expect(TokKind::kInt, util::cat("expected integer ", what));
-    const long v = std::stol(t.text);
+    const long v = static_cast<long>(t.value);
     return neg ? -v : v;
   }
 

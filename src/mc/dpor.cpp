@@ -9,6 +9,7 @@
 #include <thread>
 #include <utility>
 
+#include "mc/cursor.hpp"
 #include "mc/independence.hpp"
 #include "util/arena.hpp"
 #include "util/thread_pool.hpp"
@@ -20,43 +21,49 @@ namespace {
 
 struct Engine;
 
-/// One node of the exploration tree. The spine (parent chain) is the trace
-/// E the node was reached by; scheduling state is guarded by `mu` because
+/// One node of the exploration tree: a step path, never a configuration.
+/// The spine (parent chain) is the trace E the node was reached by, and
+/// its configuration is whatever replaying the spine's incoming steps from
+/// the start configuration reaches — a worker's cursor does that when the
+/// node arrives (arrive()). Scheduling state is guarded by `mu` because
 /// race reversals discovered in stolen subtrees insert backtrack points
 /// into ancestors owned by other workers. Nodes stay alive exactly while
-/// some in-flight descendant holds the spine's PoolRef chain — an
-/// insertion into a node whose owner finished it long ago simply enqueues
-/// a fresh work item for it. Nodes are arena-allocated and recycled
-/// through the engine pool (util/arena.hpp): the intrusive refcount
-/// replaces one shared_ptr control-block allocation per transition.
+/// some queued item, descendant or cursor spine holds a PoolRef to them —
+/// an insertion into a node whose owner finished it long ago simply
+/// enqueues a fresh work item for it. Nodes are arena-allocated and
+/// recycled through the engine pool (util/arena.hpp): the intrusive
+/// refcount replaces one shared_ptr control-block allocation per
+/// transition.
 struct Node {
   std::atomic<std::uint32_t> refs{0};  ///< intrusive PoolRef count
   Engine* eng = nullptr;               ///< owning pool, for dispose
   util::PoolRef<Node> parent;
   std::uint32_t depth = 0;
-  StepSig in_sig{};       ///< signature of the incoming step (depth > 0)
-  interp::Step in_step{};  ///< incoming step (depth > 0); trace entries are
-                           ///< rendered lazily (make_entry allocates)
+  StepSig in_sig{};  ///< signature of the incoming step (depth > 0)
+  /// Incoming step (depth > 0), as enumerated at the parent. Every
+  /// configuration reached by the same step path is identical, tags
+  /// included, so any cursor standing on the parent replays it as is.
+  interp::Step in_step{};
 
-  interp::Config config;
-  /// All successors, by thread ascending. The RA hot path enumerates
-  /// signature-only steps (no Config copies; a child's configuration is
-  /// made by cloning this node's config — which carries its warm
-  /// incremental cache — and applying the step). The pre-execution mode
-  /// keeps the materialized pe_successors steps instead.
-  std::vector<interp::Step> steps;
-  std::vector<interp::ConfigStep> pe_steps;  ///< pre-execution mode only
-  std::vector<StepSig> sigs;              ///< sig per step
-  std::vector<c11::ThreadId> enabled;     ///< threads with >= 1 step
+  // Set by the expansion that creates the node, before its arrival is
+  // queued; immutable afterwards.
 
   /// hb_row[i] = 1 iff spine event e_i happens-before this node's incoming
   /// event e_depth (a chain of pairwise-dependent trace steps leads from i
-  /// to depth). Computed once when the incoming step executes
+  /// to depth). Computed once when the parent expands the incoming step
   /// (mc/independence.hpp build_hb_row), so race detection only builds the
-  /// one new row per transition instead of the whole closure. Immutable
-  /// after construction.
+  /// one new row per transition instead of the whole closure.
   std::vector<char> hb_row;
+  /// Transition signatures asleep on arrival (kSourceSetsSleep): their
+  /// executions from here are covered by an earlier sibling subtree.
+  SleepSet sleep;
 
+  // Set when the node arrives (its configuration is visited), before its
+  // first expansion is queued; immutable afterwards.
+
+  /// All transitions, by thread ascending (children copy their in_step).
+  std::vector<interp::Step> steps;
+  std::vector<StepSig> sigs;  ///< sig per step
   /// The spine passed through an already-seen configuration: transitions
   /// from here re-explore a shared suffix (stats.redundant_transitions).
   bool redundant = false;
@@ -69,10 +76,6 @@ struct Node {
   /// later-executed step's subtree may put an earlier-executed sibling
   /// transition to sleep, never the reverse.
   std::vector<StepSig> executed;
-  /// Transition signatures asleep on arrival (kSourceSetsSleep): their
-  /// executions from here are covered by an earlier sibling subtree.
-  /// Immutable after construction.
-  SleepSet sleep;
 };
 
 using NodePtr = util::PoolRef<Node>;
@@ -80,14 +83,30 @@ using NodePtr = util::PoolRef<Node>;
 /// PoolRef release hook (found by ADL from util::PoolRef<Node>).
 void pooled_dispose(Node* p);
 
+/// `thread` of an item that visits its node rather than expanding it.
+constexpr c11::ThreadId kArrive = 0;
+
+/// A queued unit of work: the arrival of a freshly created node
+/// (thread == kArrive), or the expansion of one scheduled thread at a node
+/// that has arrived. Thread ids start at 1 (0 is the initialising thread).
 struct Item {
   NodePtr node;
-  c11::ThreadId thread = 0;  ///< the scheduled thread to expand
+  c11::ThreadId thread = kArrive;
 };
 
 bool contains(const std::vector<c11::ThreadId>& v, c11::ThreadId t) {
   return std::find(v.begin(), v.end(), t) != v.end();
 }
+
+/// A worker's cursor (mc/cursor.hpp) with the tree nodes it stands on:
+/// spine[k] is the node at depth k, spine[0] the root. Holding PoolRefs
+/// keeps those nodes from being recycled, so pointer identity is a sound
+/// test for the prefix the cursor shares with another node. Padded so
+/// neighbouring workers' cursors don't false-share.
+struct alignas(64) NodeCursor {
+  Cursor at;
+  std::vector<NodePtr> spine;
+};
 
 /// Per-worker reporting counters, merged into the result with
 /// ExploreStats::operator+= when the run finishes. Owner-written without
@@ -98,22 +117,27 @@ struct alignas(64) WorkerTotals {
 };
 
 struct Engine {
-  Engine(const ExploreOptions& opts, const Visitor& vis, std::size_t workers)
+  Engine(const interp::Config& start, const ExploreOptions& opts,
+         const Visitor& vis, std::size_t workers)
       : options(opts),
         visitor(vis),
         sleep_filter(opts.por == PorMode::kSourceSetsSleep),
         deques(workers),
         worker_stats(workers),
         totals(workers),
-        seen(workers) {}
+        seen(workers) {
+    cursors.reserve(workers);
+    for (std::size_t k = 0; k < workers; ++k) {
+      cursors.push_back(NodeCursor{Cursor(start), {}});
+    }
+  }
 
   /// Arena-backed node pool. A released node keeps the heap buffers of its
-  /// config / step / sleep vectors, so reusing one turns the per-transition
-  /// Config clone into a capacity-reusing copy-assignment (near zero
-  /// allocations once the pool is warm); the arena itself packs nodes
+  /// step / signature / sleep vectors, so reusing one is near
+  /// allocation-free once the pool is warm; the arena itself packs nodes
   /// contiguously and frees them wholesale. Declared first so it outlives
-  /// the deques: items still queued at early-stop release their nodes into
-  /// the pool during ~Engine.
+  /// the deques and cursors: items still queued at early-stop, and cursor
+  /// spines, release their nodes into the pool during ~Engine.
   std::mutex pool_mu;
   util::ArenaPool<Node> pool;
 
@@ -127,6 +151,9 @@ struct Engine {
   /// `truncated` stay atomic: max_states control flow and heartbeat rates
   /// need coherent cross-worker reads.
   std::vector<WorkerTotals> totals;
+  /// One cursor per worker, each owned by its worker (cursors[0] also
+  /// serves the root's visit, before the workers start).
+  std::vector<NodeCursor> cursors;
 
   AdaptiveSeenSet seen;  ///< unique-state accounting only (tree search)
 
@@ -176,37 +203,47 @@ void pooled_dispose(Node* p) {
   p->depth = 0;
   p->in_sig = {};
   p->in_step = {};
-  p->steps.clear();
-  p->pe_steps.clear();
-  p->sigs.clear();
-  p->enabled.clear();
   p->hb_row.clear();
+  p->sleep.clear();
+  p->steps.clear();
+  p->sigs.clear();
   p->redundant = false;
   p->scheduled.clear();
   p->executed.clear();
-  p->sleep.clear();
   std::lock_guard lock(eng.pool_mu);
   eng.pool.release(p);
 }
 
-/// Fills steps/sigs/enabled of a freshly built node. On the RA path this
-/// only enumerates signatures (reserve + reuse, no Config copies).
-void prepare_node(Node& n, const ExploreOptions& options) {
-  if (options.pre_execution) {
-    obs::ScopedPhase enum_phase(obs::Phase::kEnumerate);
-    n.pe_steps = interp::pe_successors(
-        n.config, interp::value_domain(*n.config.program), options.step);
-    sigs_of(n.pe_steps, n.config.exec, n.sigs, n.config.has_sc_fence);
-  } else {
-    obs::ScopedPhase enum_phase(obs::Phase::kEnumerate);
-    interp::enumerate_steps(n.config, options.step, n.steps);
-    sigs_of(n.steps, n.config.exec, n.sigs, n.config.has_sc_fence);
+/// Moves worker `me`'s cursor onto `target`: up to the deepest node of
+/// target's spine the cursor stands on (undo), then down target's spine
+/// replaying each node's in_step. The root is on every spine, so the walk
+/// stops. A node popped right after its parent's expansion is one apply.
+void move_to(Engine& eng, NodeCursor& nc, const NodePtr& target) {
+  // The spine suffix the cursor lacks, deepest first. The PoolRefs live in
+  // the item and in the nodes' parent fields, both immutable and alive
+  // while `target` is.
+  thread_local std::vector<const NodePtr*> suffix;
+  suffix.clear();
+  const NodePtr* p = &target;
+  while ((*p)->depth >= nc.spine.size() || nc.spine[(*p)->depth] != *p) {
+    suffix.push_back(p);
+    p = &(*p)->parent;
   }
-  for (const auto& s : n.sigs) {
-    if (n.enabled.empty() || n.enabled.back() != s.thread) {
-      n.enabled.push_back(s.thread);  // steps are enumerated threads asc
-    }
+  const std::size_t shared = (*p)->depth + 1;
+  nc.at.undo_to(shared - 1);
+  nc.spine.resize(shared);
+  for (auto it = suffix.rbegin(); it != suffix.rend(); ++it) {
+    nc.at.apply((**it)->in_step, eng.options.step);
+    nc.spine.push_back(**it);
   }
+}
+
+/// Fills steps/sigs of a node from the configuration it stands for.
+void prepare_node(Node& n, interp::Config& config,
+                  const ExploreOptions& options) {
+  obs::ScopedPhase enum_phase(obs::Phase::kEnumerate);
+  interp::enumerate_steps(config, options.step, n.steps);
+  sigs_of(n.steps, config.exec, n.sigs, config.has_sc_fence);
 }
 
 /// The trace from the root to `n` (the path the spine encodes). Entries
@@ -269,6 +306,19 @@ void push_item(Engine& eng, std::size_t me, Item item) {
   eng.deques.push_local(me, std::move(item));
 }
 
+/// Schedules the first thread of a node that has just been visited and
+/// queues its expansion (none for a leaf or a sleep-blocked node).
+void schedule_first(Engine& eng, std::size_t me, const NodePtr& node) {
+  const c11::ThreadId first = pick_first(*node);
+  if (first == 0) return;
+  {
+    std::lock_guard lock(node->mu);
+    node->scheduled.push_back(first);
+  }
+  ++eng.worker_stats[me].enqueued;
+  push_item(eng, me, Item{node, first});
+}
+
 /// Source-set backtrack insertion: unless some initial is already
 /// scheduled at `target`, schedule one — preferring a thread with an
 /// awake transition. When every initial is fully asleep, the race's
@@ -293,11 +343,11 @@ void insert_backtrack(Engine& eng, std::size_t me, const NodePtr& target,
 }
 
 /// Detects every reversible race between the step about to be taken from
-/// `n` (signature `t_sig`) and the spine E, and inserts the source-set
-/// backtrack points. `self` is the shared_ptr of `n`. Fills `row_out` with
-/// t's happens-before row (hb_row for the child node the step creates), so
-/// each transition costs one O(depth^2) row build — the rows of the spine
-/// events are cached in their nodes.
+/// `self` (signature `t_sig`) and the spine E, and inserts the source-set
+/// backtrack points. Fills `row_out` with t's happens-before row (hb_row
+/// for the child node the step creates), so each transition costs one
+/// O(depth^2) row build — the rows of the spine events are cached in their
+/// nodes.
 void race_reversals(Engine& eng, std::size_t me, const NodePtr& self,
                     const StepSig& t_sig, std::vector<char>& row_out) {
   Node& n = *self;
@@ -349,14 +399,14 @@ void race_reversals(Engine& eng, std::size_t me, const NodePtr& self,
       });
 }
 
-/// Expands one scheduled (node, thread) pair: runs every enabled
-/// transition of the thread, detecting races, accounting unique states,
-/// and scheduling each child's first thread.
+/// Expands one scheduled (node, thread) pair: for every enabled transition
+/// of the thread, detects races, and creates the child node with its hb
+/// row and sleep set — all from signatures, without reading a
+/// configuration — and queues the child's arrival.
 void expand_item(Engine& eng, std::size_t me, const Item& item) {
   Node& n = *item.node;
   ++eng.worker_stats[me].processed;
   ExploreStats& my = eng.totals[me].stats;
-  const bool pe = eng.options.pre_execution;
 
   for (std::size_t i = 0; i < n.sigs.size(); ++i) {
     if (n.sigs[i].thread != item.thread) continue;
@@ -364,7 +414,7 @@ void expand_item(Engine& eng, std::size_t me, const Item& item) {
 
     const StepSig& sig = n.sigs[i];
     if (eng.sleep_filter && sleep_contains(n.sleep, sig)) {
-      continue;  // covered by an earlier sibling subtree (counted below)
+      continue;  // covered by an earlier sibling subtree (counted on arrival)
     }
 
     // Sleep-order prefix: the sibling transitions executed from n before
@@ -381,98 +431,16 @@ void expand_item(Engine& eng, std::size_t me, const Item& item) {
     eng.transitions.fetch_add(1, std::memory_order_relaxed);
     if (n.redundant) ++my.redundant_transitions;
 
-    // Materialize the child configuration into a pooled node: copy-assign
-    // the parent's config (reusing the recycled node's buffers, warm
-    // incremental cache included) and apply the step in place — the only
-    // Config copy this transition costs. Pre-execution steps come
-    // materialized from pe_successors (each is executed exactly once, so
-    // its successor config can be moved out).
     NodePtr child = acquire_node(eng);
-    interp::Step in_step;
-    if (pe) {
-      const interp::ConfigStep& ps = n.pe_steps[i];
-      in_step.thread = ps.thread;
-      in_step.silent = ps.silent;
-      in_step.loop_unfold = ps.loop_unfold;
-      in_step.action = ps.action;
-      in_step.observed = ps.observed;
-      child->config = std::move(n.pe_steps[i].next);
-    } else {
-      obs::ScopedPhase apply_phase(obs::Phase::kApply);
-      in_step = n.steps[i];
-      child->config = n.config;
-      // Apply-only: the child keeps this configuration; no undo needed.
-      (void)interp::apply_step(child->config, n.steps[i], eng.options.step);
-    }
-    interp::Config& child_config = child->config;
-
-    if (eng.visitor.on_transition) {
-      // The visitor contract hands over a materialized ConfigStep; build a
-      // view around the child configuration (moved in and back out, no
-      // copy).
-      interp::ConfigStep view;
-      view.thread = sig.thread;
-      view.silent = sig.silent;
-      if (!sig.silent) {
-        view.event = static_cast<c11::EventId>(child_config.exec.size() - 1);
-        view.observed = in_step.observed;  // frame tag (sig is canonical)
-        view.action = child_config.exec.event(view.event).action;
-      }
-      view.loop_unfold = in_step.loop_unfold;
-      view.next = std::move(child_config);
-      const bool keep = eng.visitor.on_transition(n.config, view);
-      child_config = std::move(view.next);
-      if (!keep) {
-        Trace t = spine_trace(&n);
-        t.entries.push_back(make_entry(in_step));
-        eng.record_abort(std::move(t));
-        return;
-      }
-    }
-
     {
       obs::ScopedPhase race_phase(obs::Phase::kRaceDetect);
       race_reversals(eng, me, item.node, sig, child->hb_row);
     }
-
     child->parent = item.node;
     child->depth = n.depth + 1;
     child->in_sig = sig;
-    child->in_step = in_step;
+    child->in_step = n.steps[i];
     my.max_depth = std::max<std::size_t>(my.max_depth, child->depth + 1);
-
-    InsertResult ins;
-    {
-      obs::ScopedPhase probe_phase(obs::Phase::kSeenProbe);
-      ins = eng.seen.insert(child->config.fingerprint());
-    }
-    child->redundant = n.redundant || !ins.inserted;
-    if (child->config.terminated()) ++my.complete_traces;
-    if (ins.inserted) {
-      const std::size_t states =
-          eng.states.fetch_add(1, std::memory_order_relaxed) + 1;
-      if (states >= eng.options.max_states) {
-        eng.truncated.store(true);
-        eng.stop.store(true);
-        return;
-      }
-      if (eng.visitor.on_state && !eng.visitor.on_state(child->config)) {
-        eng.record_abort(spine_trace(child.get()));
-        return;
-      }
-      if (child->config.terminated()) {
-        ++my.finals;
-        if (eng.visitor.on_final && !eng.visitor.on_final(child->config)) {
-          eng.record_abort(spine_trace(child.get()));
-          return;
-        }
-      }
-    } else {
-      ++my.merged;
-      ++eng.worker_stats[me].merged;
-    }
-
-    prepare_node(*child, eng.options);
 
     if (eng.sleep_filter) {
       // Godefroid's sleep rule at transition granularity: a sibling
@@ -489,32 +457,100 @@ void expand_item(Engine& eng, std::size_t me, const Item& item) {
       child->sleep.erase(
           std::unique(child->sleep.begin(), child->sleep.end()),
           child->sleep.end());
-      // The child's transitions already covered elsewhere are what the
-      // sleep filter refuses to run (whether or not their thread ever
-      // gets scheduled there).
-      std::size_t pruned = 0;
-      for (const StepSig& s : child->sigs) {
-        if (sleep_contains(child->sleep, s)) ++pruned;
-      }
-      my.por_pruned += pruned;
-      if (!child->sigs.empty() && pruned == child->sigs.size()) {
-        // Every enabled transition is asleep: the execution dies here and
-        // its prefix was wasted — the stateless-DPOR redundancy the
-        // optimal wakeup-tree engine (optimal.hpp) eliminates.
-        ++my.sleep_blocked;
+    }
+    push_item(eng, me, Item{std::move(child), kArrive});
+  }
+}
+
+/// Visits a node on worker `me`'s cursor: moves the cursor onto it, then
+/// accounts the unique state (seen set, on_state / on_final), enumerates
+/// its transitions, tallies what the sleep set prunes there and queues the
+/// expansion of its first thread.
+void arrive(Engine& eng, std::size_t me, const NodePtr& node) {
+  NodeCursor& nc = eng.cursors[me];
+  Node& x = *node;
+  ExploreStats& my = eng.totals[me].stats;
+
+  if (eng.visitor.on_transition) {
+    // Cold path: the visitor contract hands over the parent configuration
+    // and a materialized ConfigStep, so copy the parent once and move the
+    // cursor's configuration through the view (and back).
+    move_to(eng, nc, x.parent);
+    const interp::Config pre = nc.at.config();
+    move_to(eng, nc, node);
+    interp::Config& config = nc.at.config();
+    interp::ConfigStep view;
+    view.thread = x.in_sig.thread;
+    view.silent = x.in_sig.silent;
+    if (!x.in_sig.silent) {
+      view.event = static_cast<c11::EventId>(config.exec.size() - 1);
+      view.observed = x.in_step.observed;  // frame tag (sig is canonical)
+      view.action = config.exec.event(view.event).action;
+    }
+    view.loop_unfold = x.in_step.loop_unfold;
+    view.next = std::move(config);
+    const bool keep = eng.visitor.on_transition(pre, view);
+    config = std::move(view.next);
+    if (!keep) {
+      eng.record_abort(spine_trace(&x));
+      return;
+    }
+  } else {
+    move_to(eng, nc, node);
+  }
+  interp::Config& config = nc.at.config();
+
+  InsertResult ins;
+  {
+    obs::ScopedPhase probe_phase(obs::Phase::kSeenProbe);
+    ins = eng.seen.insert(config.fingerprint());
+  }
+  x.redundant = x.parent->redundant || !ins.inserted;
+  if (config.terminated()) ++my.complete_traces;
+  if (ins.inserted) {
+    const std::size_t states =
+        eng.states.fetch_add(1, std::memory_order_relaxed) + 1;
+    if (states >= eng.options.max_states) {
+      eng.truncated.store(true);
+      eng.stop.store(true);
+      return;
+    }
+    if (eng.visitor.on_state && !eng.visitor.on_state(config)) {
+      eng.record_abort(spine_trace(&x));
+      return;
+    }
+    if (config.terminated()) {
+      ++my.finals;
+      if (eng.visitor.on_final && !eng.visitor.on_final(config)) {
+        eng.record_abort(spine_trace(&x));
+        return;
       }
     }
+  } else {
+    ++my.merged;
+    ++eng.worker_stats[me].merged;
+  }
 
-    const c11::ThreadId first = pick_first(*child);
-    if (first != 0) {
-      {
-        std::lock_guard lock(child->mu);
-        child->scheduled.push_back(first);
-      }
-      ++eng.worker_stats[me].enqueued;
-      push_item(eng, me, Item{std::move(child), first});
+  prepare_node(x, config, eng.options);
+
+  if (eng.sleep_filter) {
+    // The node's transitions already covered elsewhere are what the sleep
+    // filter refuses to run (whether or not their thread ever gets
+    // scheduled here).
+    std::size_t pruned = 0;
+    for (const StepSig& s : x.sigs) {
+      if (sleep_contains(x.sleep, s)) ++pruned;
+    }
+    my.por_pruned += pruned;
+    if (!x.sigs.empty() && pruned == x.sigs.size()) {
+      // Every enabled transition is asleep: the execution dies here and
+      // its prefix was wasted — the stateless-DPOR redundancy the optimal
+      // wakeup-tree engine (optimal.hpp) eliminates.
+      ++my.sleep_blocked;
     }
   }
+
+  schedule_first(eng, me, node);
 }
 
 /// Adds this thread's step-enumeration counter movement since `base` to
@@ -579,7 +615,11 @@ void worker_loop_impl(Engine& eng, std::size_t me) {
       continue;
     }
     idle_rounds = 0;
-    expand_item(eng, me, *item);
+    if (item->thread == kArrive) {
+      arrive(eng, me, item->node);
+    } else {
+      expand_item(eng, me, *item);
+    }
     eng.pending.fetch_sub(1, std::memory_order_acq_rel);
     if (eng.options.telemetry != nullptr &&
         eng.options.telemetry->heartbeat_due()) {
@@ -603,7 +643,7 @@ ExploreResult explore_dpor(const interp::Config& start,
                            const Visitor& visitor, std::size_t workers,
                            std::vector<WorkerStats>* worker_stats) {
   if (workers == 0) workers = 1;
-  Engine eng(options, visitor, workers);
+  Engine eng(start, options, visitor, workers);
   // Scheduling points are visible (memory) steps only: deterministic
   // silent/register steps never branch the search and are fused into the
   // preceding transition (loop unfoldings stay visible — they are bounded
@@ -637,34 +677,31 @@ ExploreResult explore_dpor(const interp::Config& start,
   };
 
   NodePtr root = acquire_node(eng);
-  root->config = start;
+  for (NodeCursor& nc : eng.cursors) nc.spine.push_back(root);
   eng.totals[0].stats.max_depth = 1;
   {
-    // Root preparation runs on the calling thread, before any worker
-    // snapshots its own counter base (and under its own telemetry scope,
-    // released before the workers attach theirs).
+    // The root's visit runs on the calling thread with worker 0's cursor,
+    // before any worker snapshots its own counter base (and under its own
+    // telemetry scope, released before the workers attach theirs).
     obs::WorkerScope obs_scope(options.telemetry, 0);
-    (void)eng.seen.insert(root->config.fingerprint());
+    interp::Config& config = eng.cursors[0].at.config();
+    (void)eng.seen.insert(config.fingerprint());
     eng.states.store(1);
-    if (visitor.on_state && !visitor.on_state(root->config)) {
+    if (visitor.on_state && !visitor.on_state(config)) {
       return finish(/*root_aborted=*/true);
     }
-    if (root->config.terminated()) {
+    if (config.terminated()) {
       eng.totals[0].stats.finals = 1;
       eng.totals[0].stats.complete_traces = 1;
-      if (visitor.on_final && !visitor.on_final(root->config)) {
+      if (visitor.on_final && !visitor.on_final(config)) {
         return finish(/*root_aborted=*/true);
       }
     }
     const interp::StepEnumCounters enum_base = interp::step_enum_counters();
-    prepare_node(*root, eng.options);
+    prepare_node(*root, config, eng.options);
     flush_enum_counters(eng, 0, enum_base);
   }
-  const c11::ThreadId first = pick_first(*root);
-  if (first != 0) {
-    root->scheduled.push_back(first);
-    push_item(eng, 0, Item{root, first});
-  }
+  schedule_first(eng, 0, root);
 
   if (workers == 1) {
     worker_loop(eng, 0);

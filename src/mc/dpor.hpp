@@ -32,14 +32,23 @@
 // Intermediate global states may be skipped — invariant checking must not
 // use these modes (checker.cpp downgrades to sleep sets).
 //
+// Tree nodes are step paths: a node keeps its parent, its incoming step
+// and its scheduling state, never a configuration. Expanding a scheduled
+// (node, thread) pair needs only signatures — race reversal, the child's
+// hb row and its sleep set — and queues each child to *arrive* later.
+// When a worker pops an arrival, it moves its own cursor (mc/cursor.hpp)
+// onto the child, undoing to the prefix they share and replaying the
+// spine's incoming steps, and visits the configuration there: seen set,
+// visitor callbacks, step enumeration, sleep tallies, first thread.
+//
 // The same engine runs sequentially (workers = 1: plain LIFO, fully
 // deterministic — DPOR counterexamples replay) and in parallel (work
 // items carry their node; per-node backtrack/sleep state lives in the
 // shared node objects behind a mutex, so stolen subtrees remain sound:
 // race reversals discovered in a stolen subtree insert backtrack points
-// into ancestor nodes that are kept alive by the spine's shared_ptr
-// chain, and an insertion into an ancestor another worker has long
-// finished simply enqueues a fresh work item for it).
+// into ancestor nodes that are kept alive by the spine's PoolRef chain,
+// and an insertion into an ancestor another worker has long finished
+// simply enqueues a fresh work item for it).
 #pragma once
 
 #include <vector>
@@ -59,6 +68,11 @@ namespace rc11::mc {
 /// are visible (memory) steps; deterministic silent/register steps are
 /// fused into the preceding transition (loop unfoldings stay visible).
 /// Returned traces replay (replay_trace) under tau_compress = true.
+///
+/// The engine runs the ==>_RA semantics only: `options.pre_execution` is
+/// ignored (explore_from runs a pre-execution search under sleep sets
+/// instead). A Visitor::on_transition hook costs one copy of the parent
+/// configuration per transition.
 [[nodiscard]] ExploreResult explore_dpor(
     const interp::Config& start, const ExploreOptions& options,
     const Visitor& visitor, std::size_t workers = 1,

@@ -99,10 +99,8 @@ ExploreResult explore_materialized(const interp::Config& start,
   };
 
   auto prepare_frame = [&](MatFrame& f) {
-    {
-      obs::ScopedPhase enum_phase(obs::Phase::kEnumerate);
-      f.steps = expand(f.config, options);
-    }
+    obs::ScopedPhase enum_phase(obs::Phase::kEnumerate);
+    f.steps = expand(f.config, options);
     if (por) sigs_of(f.steps, f.config.exec, f.sigs, f.config.has_sc_fence);
   };
 
@@ -292,10 +290,8 @@ ExploreResult explore_incremental(const interp::Config& start,
   auto prepare_frame = [&](SpineFrame& f) {
     f.next_step = 0;
     f.sigs.clear();
-    {
-      obs::ScopedPhase enum_phase(obs::Phase::kEnumerate);
-      interp::enumerate_steps(cur, options.step, f.steps);
-    }
+    obs::ScopedPhase enum_phase(obs::Phase::kEnumerate);
+    interp::enumerate_steps(cur, options.step, f.steps);
     if (por) sigs_of(f.steps, cur.exec, f.sigs, cur.has_sc_fence);
   };
 
@@ -447,9 +443,14 @@ ExploreResult explore_from(const interp::Config& start,
   if (is_optimal_dpor(options.por)) {
     return explore_optimal(start, options, visitor, /*workers=*/1);
   }
-  if (is_dpor(options.por)) {
+  if (is_source_dpor(options.por) && !options.pre_execution) {
     return explore_dpor(start, options, visitor, /*workers=*/1);
   }
+  // The source-set engine replays ==>_RA steps on its cursors, so a
+  // pre-execution search runs under sleep sets instead: that reduction
+  // keeps every state (the same downgrade check_invariant applies).
+  ExploreOptions opts = options;
+  if (is_source_dpor(opts.por)) opts.por = PorMode::kSleepSets;
   // on_transition contracts a materialized ConfigStep per transition, and
   // the pre-execution semantics enumerates through pe_successors; both go
   // through the copying oracle path. No query in checker.hpp hooks
@@ -466,9 +467,9 @@ ExploreResult explore_from(const interp::Config& start,
   ExploreResult result;
   {
     obs::WorkerScope obs_scope(options.telemetry, 0);
-    result = visitor.on_transition || options.pre_execution
-                 ? explore_materialized(start, options, visitor)
-                 : explore_incremental(start, options, visitor);
+    result = visitor.on_transition || opts.pre_execution
+                 ? explore_materialized(start, opts, visitor)
+                 : explore_incremental(start, opts, visitor);
   }
   if (options.telemetry != nullptr) {
     result.phases = options.telemetry->profile() - profile_base;

@@ -100,14 +100,13 @@ struct StepSig {
   auto operator<=>(const StepSig&) const = default;
 };
 
-/// Builds a signature from a step and the canonical ids of the frame it
-/// was enumerated in (interp::canonical_event_ids of the *source*
+/// Builds a signature from a step. `cid_of(w)` yields the canonical id of
+/// event w in the frame the step was enumerated in (the *source*
 /// configuration — the observed write exists there by construction).
 /// ConfigStep and Step expose the same identity fields; one extraction
 /// keeps the materialized and incremental paths' signatures identical.
-template <typename S>
-[[nodiscard]] StepSig sig_of(const S& s,
-                             const std::vector<interp::CanonicalEventId>& cids,
+template <typename S, typename CidOf>
+[[nodiscard]] StepSig sig_of(const S& s, const CidOf& cid_of,
                              bool sc_coupled = false) {
   StepSig sig;
   sig.thread = s.thread;
@@ -118,9 +117,28 @@ template <typename S>
     sig.var = s.action.var;
     sig.rval = s.action.rval;
     sig.wval = s.action.wval;
-    if (s.observed != c11::kNoEvent) sig.observed = cids[s.observed];
+    if (s.observed != c11::kNoEvent) sig.observed = cid_of(s.observed);
   }
   return sig;
+}
+
+/// The interp::CanonicalEventId of event `w`, read from the ids push_event
+/// maintains (`packed` = *exec.cids_if_cached()) in O(1) for a thread
+/// event. The two encodings differ for initialising writes: the packed id
+/// is (var << 8) | occurrence, while interp::canonical_event_ids ranks
+/// them in tag order, so w's index is the number of initialising writes
+/// tagged below it. Execution::initial creates them first, so that count
+/// is w itself and costs at most one test per variable.
+[[nodiscard]] inline interp::CanonicalEventId maintained_canonical_id(
+    const c11::Execution& exec, const std::vector<std::uint64_t>& packed,
+    c11::EventId w) {
+  const c11::ThreadId t = exec.event(w).tid;
+  if (t != c11::kInitThread) {
+    return {t, static_cast<std::uint32_t>(packed[w] & 0xffffffffu)};
+  }
+  std::uint32_t rank = 0;
+  for (c11::EventId e = 0; e < w; ++e) rank += exec.init_writes().test(e);
+  return {c11::kInitThread, rank};
 }
 
 [[nodiscard]] inline bool is_read_kind(c11::ActionKind k) {
@@ -167,17 +185,27 @@ template <typename S>
 /// Fills `sigs` with the signature of every step in `steps` (cleared
 /// first) — the one definition of step-signature construction that every
 /// explorer and both DPOR engines (source-set and optimal) consume.
-/// `exec` is the execution the steps were enumerated from; its canonical
-/// ids are computed once (O(events), reusable scratch) and shared by all
-/// signatures of the frame.
+/// `exec` is the execution the steps were enumerated from. While its
+/// incremental cache is valid, each observed write's canonical id is read
+/// from the ids push_event maintains (O(1) per step); otherwise
+/// (materialized and pre-execution configurations) every event's id is
+/// recomputed once for the frame (interp::canonical_event_ids, O(events)).
 template <typename StepVec>
 inline void sigs_of(const StepVec& steps, const c11::Execution& exec,
                     std::vector<StepSig>& sigs, bool sc_coupled = false) {
-  thread_local std::vector<interp::CanonicalEventId> cids;
-  interp::canonical_event_ids(exec, cids);
   sigs.clear();
   sigs.reserve(steps.size());
-  for (const auto& s : steps) sigs.push_back(sig_of(s, cids, sc_coupled));
+  if (const std::vector<std::uint64_t>* packed = exec.cids_if_cached()) {
+    const auto cid_of = [&](c11::EventId w) {
+      return maintained_canonical_id(exec, *packed, w);
+    };
+    for (const auto& s : steps) sigs.push_back(sig_of(s, cid_of, sc_coupled));
+    return;
+  }
+  thread_local std::vector<interp::CanonicalEventId> cids;
+  interp::canonical_event_ids(exec, cids);
+  const auto cid_of = [&](c11::EventId w) { return cids[w]; };
+  for (const auto& s : steps) sigs.push_back(sig_of(s, cid_of, sc_coupled));
 }
 
 // --- Trace happens-before over step signatures -------------------------------

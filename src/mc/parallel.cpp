@@ -13,6 +13,7 @@
 #include <utility>
 
 #include "c11/races.hpp"
+#include "mc/cursor.hpp"
 #include "mc/dpor.hpp"
 #include "mc/independence.hpp"
 #include "mc/optimal.hpp"
@@ -107,12 +108,12 @@ void push_local(ParallelRun& run, std::size_t me, WorkItem item) {
   run.deques.push_local(me, std::move(item));
 }
 
-/// Per-worker exploration cursor: one Config stepped in place along `path`,
-/// with one undo token per level so backtracking never re-derives a prefix.
-struct Cursor {
-  interp::Config config;
+/// A worker's cursor (mc/cursor.hpp) with the step-index path it stands
+/// on: path[k] indexes the step taken at depth k among the steps
+/// enumerate_steps lists there.
+struct PathCursor {
+  Cursor at;
   std::vector<std::uint32_t> path;
-  std::vector<interp::StepUndo> undos;
 };
 
 /// Moves `cur` to the state `item` denotes: undo back to the longest common
@@ -121,32 +122,23 @@ struct Cursor {
 /// transitions the pushing worker took (the property reconstruct_trace
 /// already relies on). Local LIFO pops hit the one-level fast case; a steal
 /// replays from the root the first time and shares prefixes afterwards.
-void position(ParallelRun& run, Cursor& cur, const WorkItem& item) {
+void position(ParallelRun& run, PathCursor& cur, const WorkItem& item) {
   std::size_t k = 0;
   while (k < cur.path.size() && k < item.path.size() &&
          cur.path[k] == item.path[k]) {
     ++k;
   }
-  if (cur.path.size() > k) {
-    obs::ScopedPhase undo_phase(obs::Phase::kUndo);
-    while (cur.path.size() > k) {
-      interp::undo_step(cur.config, cur.undos.back());
-      cur.undos.pop_back();
-      cur.path.pop_back();
-    }
-  }
+  cur.at.undo_to(k);
+  cur.path.resize(k);
   thread_local std::vector<interp::Step> steps;
   for (std::size_t d = k; d < item.path.size(); ++d) {
     {
       obs::ScopedPhase enum_phase(obs::Phase::kEnumerate);
-      interp::enumerate_steps(cur.config, run.options.step, steps);
+      interp::enumerate_steps(cur.at.config(), run.options.step, steps);
     }
     const std::uint32_t i = item.path[d];
     assert(i < steps.size());
-    cur.undos.emplace_back();
-    obs::ScopedPhase apply_phase(obs::Phase::kApply);
-    (void)interp::apply_step(cur.config, steps[i], run.options.step,
-                             cur.undos.back());
+    cur.at.apply(steps[i], run.options.step);
     cur.path.push_back(i);
   }
 }
@@ -156,18 +148,21 @@ void position(ParallelRun& run, Cursor& cur, const WorkItem& item) {
 /// mode, transitions slept on are pruned and each pushed item carries its
 /// successor sleep set.
 ///
-/// The hot path steps the worker's cursor configuration *in place*
-/// (apply_step / undo_step): a successor is applied, fingerprinted, and
-/// undone; fresh states are pushed as path items (parent path + step
-/// index) with no Config attached, so the handoff itself copies nothing.
+/// The hot path steps the worker's cursor *in place* (Cursor::apply /
+/// undo_to): a successor is applied, fingerprinted, and undone; fresh
+/// states are pushed as path items (parent path + step index) with no
+/// Config attached, so the handoff itself copies nothing.
 /// The popping worker re-derives the state via position() — one apply in
 /// the LIFO common case, a suffix replay after an actual deque steal.
-void process(ParallelRun& run, std::size_t me, Cursor& cur, WorkItem item) {
+void process(ParallelRun& run, std::size_t me, PathCursor& cur,
+             WorkItem item) {
   WorkerStats& ws = run.worker_stats[me];
   ExploreStats& my = run.totals[me].stats;
   ++ws.processed;
   position(run, cur, item);
-  my.max_depth = std::max<std::size_t>(my.max_depth, item.path.size() + 1);
+  interp::Config& config = cur.at.config();
+  const std::size_t depth = item.path.size();
+  my.max_depth = std::max<std::size_t>(my.max_depth, depth + 1);
   if (!item.revisit) {
     if (run.states.fetch_add(1, std::memory_order_relaxed) >=
         run.options.max_states) {
@@ -175,13 +170,13 @@ void process(ParallelRun& run, std::size_t me, Cursor& cur, WorkItem item) {
       run.stop.store(true);
       return;
     }
-    if (run.on_state && !run.on_state(cur.config)) {
+    if (run.on_state && !run.on_state(config)) {
       run.record_hit(item.id);
       return;
     }
-    if (cur.config.terminated()) {
+    if (config.terminated()) {
       ++my.finals;
-      if (run.on_final && !run.on_final(cur.config)) {
+      if (run.on_final && !run.on_final(config)) {
         run.record_hit(item.id);
         return;
       }
@@ -200,24 +195,20 @@ void process(ParallelRun& run, std::size_t me, Cursor& cur, WorkItem item) {
   // In-place expansion (per-worker buffers reused across items).
   thread_local std::vector<interp::Step> steps;
   thread_local std::vector<StepSig> sigs;
-  thread_local interp::StepUndo undo;
   {
     obs::ScopedPhase enum_phase(obs::Phase::kEnumerate);
-    interp::enumerate_steps(cur.config, run.options.step, steps);
+    interp::enumerate_steps(config, run.options.step, steps);
+    sigs.clear();
+    if (run.por_sleep) sigs_of(steps, config.exec, sigs, config.has_sc_fence);
   }
-  sigs.clear();
-  if (run.por_sleep) sigs_of(steps, cur.config.exec, sigs, cur.config.has_sc_fence);
   for (std::size_t i = 0; i < steps.size(); ++i) {
     if (run.por_sleep && sleep_contains(item.sleep, sigs[i])) {
       ++my.por_pruned;
       continue;
     }
     run.transitions.fetch_add(1, std::memory_order_relaxed);
-    {
-      obs::ScopedPhase apply_phase(obs::Phase::kApply);
-      (void)interp::apply_step(cur.config, steps[i], run.options.step, undo);
-    }
-    const util::Fingerprint fp = cur.config.fingerprint();
+    cur.at.apply(steps[i], run.options.step);
+    const util::Fingerprint fp = config.fingerprint();
     if (!run.por_sleep) {
       InsertResult ins;
       {
@@ -231,8 +222,7 @@ void process(ParallelRun& run, std::size_t me, Cursor& cur, WorkItem item) {
         ++ws.enqueued;
         push_local(run, me, child_item(ins.id, i));
       }
-      obs::ScopedPhase undo_phase(obs::Phase::kUndo);
-      interp::undo_step(cur.config, undo);
+      cur.at.undo_to(depth);
       continue;
     }
     SleepSet succ_sleep = successor_sleep(item.sleep, sigs, i);
@@ -269,8 +259,7 @@ void process(ParallelRun& run, std::size_t me, Cursor& cur, WorkItem item) {
         }
       }
     }
-    obs::ScopedPhase undo_phase(obs::Phase::kUndo);
-    interp::undo_step(cur.config, undo);
+    cur.at.undo_to(depth);
   }
 }
 
@@ -316,7 +305,7 @@ void worker_loop(ParallelRun& run, std::size_t me) {
     run.totals[me].stats.enum_threads_recomputed +=
         ec.recomputed - enum_base.recomputed;
   };
-  Cursor cur{interp::initial_config(*run.program)};
+  PathCursor cur{Cursor(interp::initial_config(*run.program)), {}};
   while (true) {
     if (run.stop.load(std::memory_order_acquire)) return flush_enum();
     std::optional<WorkItem> item = run.deques.pop_local(me);

@@ -27,7 +27,9 @@ namespace rc11::obs {
 // occur inside apply are attributed to push_event only and shares sum to <= 1.
 enum class Phase : std::uint8_t {
   kEnumerate = 0,   // interp::enumerate_steps (step cache hit or miss)
-  kApply,           // Config copy + interp::apply_step
+                    // + step signatures (mc::sigs_of)
+  kApply,           // interp::apply_step (+ the optimal engine's node
+                    // Config copy)
   kUndo,            // interp::undo_step
   kPushEvent,       // Execution::push_event inside apply (relation growth)
   kFingerprint,     // Config::fingerprint

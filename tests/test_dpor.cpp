@@ -28,11 +28,16 @@
 //     tree engines) replays deterministically to the reported violating
 //     state (replay_trace);
 //   * check_invariant downgrades every DPOR mode to the state-preserving
-//     sleep-set mode.
+//     sleep-set mode;
+//   * the sequential source-set engine's exact counters on fixed programs,
+//     and its two cold paths: Visitor::on_transition, and a pre-execution
+//     search (run under sleep sets).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "c11/races.hpp"
@@ -697,6 +702,183 @@ TEST(RmwNondeterminism, OptimalTransitionsStayBelowSourceSets) {
       EXPECT_LE(opt.stats.transitions, src.stats.transitions)
           << parsed.name << " under " << por_mode_name(por);
     }
+  }
+}
+
+// --- Pinned sequential source-set DPOR counters ---------------------------------
+//
+// The exact counters of the sequential source-set engine on fixed programs.
+// A complete search visits nodes in a fixed order, so each of these counts
+// is a property of the algorithm (expansion order, backtrack insertion and
+// sleep sets), not of how the engine materializes a node's configuration.
+// `redundant_transitions`, `merged` and the `enum_threads_*` counters are
+// left out: they depend on the order of seen-set inserts and on step-cache
+// reuse, which an engine may change without changing the search.
+
+struct PinnedCounters {
+  std::size_t states, transitions, finals, complete_traces, backtracks,
+      por_pruned, sleep_blocked;
+};
+
+void expect_counters(const ExploreStats& s, const PinnedCounters& want,
+                     const std::string& what) {
+  EXPECT_FALSE(s.truncated) << what;
+  EXPECT_EQ(s.states, want.states) << what;
+  EXPECT_EQ(s.transitions, want.transitions) << what;
+  EXPECT_EQ(s.finals, want.finals) << what;
+  EXPECT_EQ(s.complete_traces, want.complete_traces) << what;
+  EXPECT_EQ(s.backtracks, want.backtracks) << what;
+  EXPECT_EQ(s.por_pruned, want.por_pruned) << what;
+  EXPECT_EQ(s.sleep_blocked, want.sleep_blocked) << what;
+}
+
+// The three shapes of verdictbench/programs/shapes, comments dropped.
+constexpr const char* kIndep4 = R"(litmus indep4
+var x0 = 0
+var x1 = 0
+var x2 = 0
+var x3 = 0
+thread 1 { x0 := 1; x0 := 2; a := x1; b := x0; }
+thread 2 { x1 := 1; x1 := 2; a := x2; b := x1; }
+thread 3 { x2 := 1; x2 := 2; a := x3; b := x2; }
+thread 4 { x3 := 1; x3 := 2; a := x0; b := x3; }
+)";
+
+constexpr const char* kMixed5 = R"(litmus mixed5
+var x = 0
+var y = 0
+var z = 0
+thread 1 { x :=R 1; a := y@A; }
+thread 2 { y :=R 1; a := z@A; }
+thread 3 { z :=R 1; a := x@A; }
+thread 4 { a := x@A; b := y@A; c := z@A; }
+thread 5 { a := z@A; b := y@A; c := x@A; }
+exists (4:a == 1 && 4:c == 0 && 5:a == 1 && 5:c == 0)
+)";
+
+constexpr const char* kConflict4 = R"(litmus conflict4
+var x = 0
+thread 1 { x := 1; a := x; }
+thread 2 { x := 2; a := x; }
+thread 3 { x := 3; a := x; }
+thread 4 { a := x; b := x; }
+forbidden (4:a == 2 && 4:b == 0)
+)";
+
+TEST(DporCounters, SourceSetsSleepOnTheShapes) {
+  const struct {
+    const char* source;
+    PinnedCounters want;
+  } cases[] = {
+      {kIndep4, {888, 4'845, 81, 1'215, 130, 726, 0}},
+      {kMixed5, {3'294, 30'711, 512, 13'710, 613, 6'914, 850}},
+      {kConflict4, {2'215, 78'680, 360, 44'676, 1'570, 1'941, 0}},
+  };
+  for (const auto& c : cases) {
+    const auto parsed = lang::parse_litmus(c.source);
+    const auto r =
+        explore(parsed.program, seq_options(PorMode::kSourceSetsSleep), {});
+    expect_counters(r.stats, c.want, parsed.name);
+  }
+}
+
+TEST(DporCounters, SourceSetsOnCatalogueAndTasLock) {
+  // kSourceSets has no sleep filter, so nothing is pruned or blocked.
+  const struct {
+    const char* name;
+    PinnedCounters want;
+  } catalogue[] = {
+      {"SB", {13, 24, 4, 12, 3, 0, 0}},
+      {"CoRR2", {273, 3'950, 72, 2'400, 297, 0, 0}},
+      {"IRIW_ra", {86, 654, 16, 322, 90, 0, 0}},
+      {"WRC_ra", {33, 98, 7, 44, 17, 0, 0}},
+      {"ISA2", {43, 117, 7, 47, 17, 0, 0}},
+  };
+  for (const auto& c : catalogue) {
+    const auto parsed = lang::parse_litmus(litmus::find_test(c.name).source);
+    const auto r =
+        explore(parsed.program, seq_options(PorMode::kSourceSets), {});
+    expect_counters(r.stats, c.want, c.name);
+  }
+  const auto tas = lang::parse_litmus(kRmwFamily[0]);  // rmw_tas_lock
+  const auto r =
+      explore(tas.program, rmw_seq_options(PorMode::kSourceSets), {});
+  expect_counters(r.stats, {1'932, 15'748, 42, 192, 1'783, 0, 0}, tas.name);
+}
+
+// --- The source-set engine's cold paths ------------------------------------------
+
+TEST(DporColdPaths, OnTransitionSeesEveryTransitionWithItsSuccessor) {
+  // Under DPOR the hook gets a copy of the parent configuration and the
+  // child as the worker's cursor reached it. It must fire once per
+  // executed transition, and the child must be the successor that
+  // from-scratch enumeration of the parent lists for the same step.
+  interp::StepOptions sopts;
+  sopts.tau_compress = true;  // the engine's scheduling granularity
+  for (const char* name : {"SB", "IRIW_ra", "WRC_ra", "SwapAtomicity"}) {
+    const auto parsed = lang::parse_litmus(litmus::find_test(name).source);
+    for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
+      std::atomic<std::size_t> fired{0};
+      std::atomic<std::size_t> unmatched{0};
+      std::atomic<std::size_t> wrong_next{0};
+      Visitor v;
+      v.on_transition = [&](const interp::Config& pre,
+                            const interp::ConfigStep& step) {
+        ++fired;
+        const interp::ConfigStep* match = nullptr;
+        const auto succs = interp::successors(pre, sopts);
+        for (const interp::ConfigStep& s : succs) {
+          if (s.thread == step.thread && s.silent == step.silent &&
+              s.loop_unfold == step.loop_unfold &&
+              (s.silent ||
+               (s.observed == step.observed && s.action == step.action))) {
+            match = &s;
+            break;
+          }
+        }
+        if (match == nullptr) {
+          ++unmatched;
+        } else if (match->next.fingerprint() != step.next.fingerprint()) {
+          ++wrong_next;
+        }
+        return true;
+      };
+      const auto r = explore_dpor(interp::initial_config(parsed.program),
+                                  seq_options(PorMode::kSourceSetsSleep), v,
+                                  workers);
+      const std::string what =
+          std::string(name) + " at " + std::to_string(workers) + " workers";
+      EXPECT_GT(r.stats.transitions, 0u) << what;
+      EXPECT_EQ(fired.load(), r.stats.transitions) << what;
+      EXPECT_EQ(unmatched.load(), 0u) << what;
+      EXPECT_EQ(wrong_next.load(), 0u) << what;
+    }
+  }
+}
+
+TEST(DporColdPaths, PreExecutionSearchKeepsTheFinalExecutions) {
+  // The source-set engine runs the ==>_RA semantics only; a pre-execution
+  // search asked for with it runs under sleep sets, which keep every state.
+  const auto search = [](const lang::Program& p, PorMode por) {
+    ExploreOptions o;
+    o.pre_execution = true;
+    o.por = por;
+    std::set<util::Fingerprint> finals;
+    Visitor v;
+    v.on_final = [&](const interp::Config& c) {
+      finals.insert(c.exec.fingerprint());
+      return true;
+    };
+    const auto r = explore(p, o, v);
+    return std::make_pair(finals, r.stats.states);
+  };
+  for (const auto& test : litmus::catalog()) {
+    const auto parsed = lang::parse_litmus(test.source);
+    const auto [por_finals, por_states] = search(parsed.program, kDefaultPor);
+    const auto [finals, states] = search(parsed.program, PorMode::kNone);
+    EXPECT_FALSE(finals.empty()) << test.name;
+    EXPECT_EQ(por_finals, finals) << test.name;
+    EXPECT_EQ(por_states, states) << test.name;
   }
 }
 

@@ -18,6 +18,10 @@
 //   * cached encountered / observable / covered sets == the Section 3.2
 //     oracles, for every thread;
 //   * the incremental fingerprint == the from-scratch fingerprint;
+//   * the canonical ids push_event maintains, as step signatures read
+//     them (mc::maintained_canonical_id), == interp::canonical_event_ids
+//     for every event, and every step's mc::sigs_of signature == the one
+//     built from the from-scratch ids;
 //   * enumerate_steps lists exactly the successors() transitions, in
 //     order, and apply_step reaches a configuration with the same
 //     canonical key and fingerprint as the materialized successor. On SC
@@ -53,6 +57,7 @@
 #include "lang/parser.hpp"
 #include "litmus/catalog.hpp"
 #include "litmus/import.hpp"
+#include "mc/independence.hpp"
 
 namespace rc11 {
 namespace {
@@ -108,6 +113,25 @@ void walk(interp::Config& c, const interp::StepOptions& opts,
   interp::enumerate_steps(c, opts, steps);
   std::vector<interp::ConfigStep> oracle = interp::successors(c, opts);
   ASSERT_EQ(steps.size(), oracle.size()) << tag;
+
+  // Step signatures read the maintained canonical ids; the from-scratch
+  // ids are their oracle.
+  const std::vector<interp::CanonicalEventId> cids =
+      interp::canonical_event_ids(c.exec);
+  const std::vector<std::uint64_t>* packed = c.exec.cids_if_cached();
+  ASSERT_NE(packed, nullptr) << tag;
+  for (c11::EventId e = 0; e < c.exec.size(); ++e) {
+    ASSERT_EQ(mc::maintained_canonical_id(c.exec, *packed, e), cids[e])
+        << tag << " event " << e;
+  }
+  std::vector<mc::StepSig> sigs;
+  mc::sigs_of(steps, c.exec, sigs, c.has_sc_fence);
+  ASSERT_EQ(sigs.size(), steps.size()) << tag;
+  const auto oracle_cid = [&](c11::EventId w) { return cids[w]; };
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    ASSERT_EQ(sigs[i], mc::sig_of(steps[i], oracle_cid, c.has_sc_fence))
+        << tag << " step " << i;
+  }
 
   const util::Fingerprint fp_before = c.fingerprint();
   const std::string key_before = c.canonical_key();

@@ -6,6 +6,7 @@
 // programs).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "interp/config.hpp"
@@ -162,6 +163,51 @@ TEST(LitmusImport, AcceptsNestingBelowTheBound) {
                      repeat(" /\\ x=1", 30)),
       "test.litmus");
   EXPECT_NO_THROW((void)lang::parse_litmus(t.source));
+}
+
+// --- Integer literals that do not fit a 64-bit value --------------------------
+
+constexpr const char* kHuge = "99999999999999999999";  // 20 digits
+
+std::string with_values(const std::string& init, const std::string& stored,
+                        const std::string& cond) {
+  return "C big\n"
+         "{ x = " + init + "; }\n"
+         "P0 (atomic_int* x) {\n"
+         "  atomic_store_explicit(x, " + stored + ", memory_order_relaxed);\n"
+         "}\n"
+         "exists (x=" + cond + ")\n";
+}
+
+void expect_too_large(const std::string& err, int line) {
+  EXPECT_NE(err.find("test.litmus:" + std::to_string(line) + ":"),
+            std::string::npos)
+      << err;
+  EXPECT_NE(err.find("does not fit a 64-bit value"), std::string::npos)
+      << err;
+}
+
+TEST(LitmusImport, RejectsHugeInitialValue) {
+  expect_too_large(import_error(with_values(kHuge, "1", "1")), 2);
+}
+
+TEST(LitmusImport, RejectsHugeStoredValue) {
+  expect_too_large(import_error(with_values("0", kHuge, "1")), 4);
+}
+
+TEST(LitmusImport, RejectsHugeConditionConstant) {
+  expect_too_large(import_error(with_values("0", "1", kHuge)), 6);
+}
+
+TEST(LitmusImport, AcceptsTheLargestValue) {
+  const std::string max = "9223372036854775807";
+  const ImportedTest t =
+      import_litmus(with_values(max, max, max), "test.litmus");
+  ASSERT_EQ(t.init.size(), 1u);
+  EXPECT_EQ(t.init[0].second, INT64_MAX);
+  const lang::ParsedLitmus p = lang::parse_litmus(t.source);
+  ASSERT_EQ(p.program.initial_values().size(), 1u);
+  EXPECT_EQ(p.program.initial_values()[0].second, INT64_MAX);
 }
 
 TEST(LitmusImport, RejectsMissingCondition) {

@@ -1,6 +1,7 @@
 // Tests for the litmus text-format parser.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "lang/parser.hpp"
@@ -246,6 +247,56 @@ TEST(Parser, AcceptsNestingBelowTheBound) {
                               repeat("!(", 40) + "x == 1" + repeat(")", 40) +
                               ")\n");
   EXPECT_EQ(p.program.thread_count(), 1u);
+}
+
+/// Expects `src` to be rejected for an integer literal that does not fit
+/// a 64-bit value, with a ParseError located on `line`.
+void expect_too_large(const std::string& src, int line) {
+  try {
+    (void)parse_litmus(src);
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("line " + std::to_string(line) + ","),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("does not fit a 64-bit value"), std::string::npos)
+        << what;
+  }
+}
+
+constexpr const char* kHuge = "99999999999999999999";  // 20 digits
+
+TEST(Parser, RejectsHugeStoredValue) {
+  expect_too_large(std::string("litmus H\nvar x = 0\nthread 1 {\n  x := ") +
+                       kHuge + ";\n}\n",
+                   4);
+}
+
+TEST(Parser, RejectsHugeInitialValue) {
+  expect_too_large(std::string("litmus H\nvar x = ") + kHuge +
+                       "\nthread 1 { x := 1; }\n",
+                   2);
+}
+
+TEST(Parser, RejectsHugeConditionConstant) {
+  expect_too_large(std::string("litmus H\nvar x = 0\nthread 1 { x := 1; }\n"
+                               "exists (x == ") +
+                       kHuge + ")\n",
+                   4);
+}
+
+TEST(Parser, AcceptsTheLargestValue) {
+  const auto p = parse_litmus(R"(litmus Max
+var x = 9223372036854775807
+thread 1 { x := 9223372036854775807; }
+exists (x == 9223372036854775807)
+)");
+  ASSERT_EQ(p.program.initial_values().size(), 1u);
+  EXPECT_EQ(p.program.initial_values()[0].second, INT64_MAX);
+  const ComPtr c = p.program.thread(1);
+  ASSERT_EQ(c->kind, ComKind::kAssign);
+  EXPECT_EQ(eval_closed(c->expr), INT64_MAX);
 }
 
 TEST(Parser, RoundTripsProgramToString) {
