@@ -19,8 +19,6 @@ void run_litmus(benchmark::State& state, const litmus::Test& test,
   std::size_t states = 0;
   std::size_t transitions = 0;
   std::size_t outcomes = 0;
-  std::size_t reused = 0;
-  std::size_t recomputed = 0;
   bool pass = true;
   for (auto _ : state) {
     const mc::ReachabilityResult r =
@@ -30,17 +28,12 @@ void run_litmus(benchmark::State& state, const litmus::Test& test,
     states = o.stats.states;
     transitions = o.stats.transitions;
     outcomes = o.outcomes.size();
-    reused = o.stats.enum_threads_reused;
-    recomputed = o.stats.enum_threads_recomputed;
     pass = r.reachable ==
            (test.expected == litmus::Expectation::kAllowed);
   }
   state.counters["states"] = static_cast<double>(states);
   state.counters["transitions"] = static_cast<double>(transitions);
   state.counters["outcomes"] = static_cast<double>(outcomes);
-  state.counters["enum_threads_reused"] = static_cast<double>(reused);
-  state.counters["enum_threads_recomputed"] =
-      static_cast<double>(recomputed);
   state.counters["pass"] = pass ? 1 : 0;
 
   // One untimed telemetry-enabled pass: the timed loop above stays
@@ -55,17 +48,12 @@ void run_litmus(benchmark::State& state, const litmus::Test& test,
 }
 
 // One series per catalogue entry under full exploration (the paper's
-// behaviours table) and one under the optimal wakeup-tree reduction (the
-// per-test cost of the tentpole mode).
+// behaviours table).
 const int register_all = [] {
   for (const litmus::Test& t : litmus::catalog()) {
     benchmark::RegisterBenchmark(
         ("litmus/" + t.name).c_str(),
         [&t](benchmark::State& s) { run_litmus(s, t, mc::PorMode::kNone); });
-    benchmark::RegisterBenchmark(
-        ("litmus-optimal/" + t.name).c_str(), [&t](benchmark::State& s) {
-          run_litmus(s, t, mc::PorMode::kOptimal);
-        });
   }
   return 0;
 }();

@@ -4,7 +4,7 @@
 //  * tau compression ON vs OFF;
 //  * seen-set footprint: 128-bit fingerprint tables vs. std::string
 //    canonical keys (bytes per state);
-//  * sleep-set partial-order reduction ON vs OFF over the litmus catalogue.
+//  * the three partial-order reduction modes over the litmus catalogue.
 #include <benchmark/benchmark.h>
 
 #include "bench_report.hpp"
@@ -111,28 +111,25 @@ void seen_set_footprint(benchmark::State& state) {
 }
 BENCHMARK(seen_set_footprint)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
 
-/// All six POR modes, in ablation order (args 0..5 of the two catalogue
+/// The three POR modes, in ablation order (args 0..2 of the two catalogue
 /// benches below).
-constexpr mc::PorMode kPorModes[] = {
-    mc::PorMode::kNone,          mc::PorMode::kSleepSets,
-    mc::PorMode::kSourceSets,    mc::PorMode::kSourceSetsSleep,
-    mc::PorMode::kOptimal,       mc::PorMode::kOptimalParsimonious};
+constexpr mc::PorMode kPorModes[] = {mc::PorMode::kNone,
+                                     mc::PorMode::kSleepSets,
+                                     mc::PorMode::kSourceSetsSleep};
 
 void por_litmus_catalog(benchmark::State& state) {
   // Full exploration (no early abort) of every catalogue program under
   // each POR mode; the counters expose the state/transition reduction
   // plus the stateless-DPOR redundancy (sleep_blocked /
-  // redundant_transitions) the optimal wakeup-tree modes remove.
-  // Arg: 0 = plain, 1 = sleep sets, 2 = source-set DPOR, 3 = DPOR+sleep,
-  // 4 = optimal, 5 = optimal-parsimonious.
+  // redundant_transitions).
+  // Arg: 0 = plain, 1 = sleep sets, 2 = source-set DPOR + sleep sets.
   const auto mode = static_cast<std::size_t>(state.range(0));
   mc::ExploreOptions opts;
   opts.por = kPorModes[mode];
   std::size_t states = 0, transitions = 0, pruned = 0, backtracks = 0;
-  std::size_t blocked = 0, redundant = 0, reused = 0, recomputed = 0;
+  std::size_t blocked = 0, redundant = 0;
   for (auto _ : state) {
     states = transitions = pruned = backtracks = blocked = redundant = 0;
-    reused = recomputed = 0;
     for (const auto& test : litmus::catalog()) {
       const auto parsed = lang::parse_litmus(test.source);
       const mc::ExploreResult r = mc::explore(parsed.program, opts, {});
@@ -142,8 +139,6 @@ void por_litmus_catalog(benchmark::State& state) {
       backtracks += r.stats.backtracks;
       blocked += r.stats.sleep_blocked;
       redundant += r.stats.redundant_transitions;
-      reused += r.stats.enum_threads_reused;
-      recomputed += r.stats.enum_threads_recomputed;
     }
   }
   state.SetLabel(mc::por_mode_name(opts.por));
@@ -153,9 +148,6 @@ void por_litmus_catalog(benchmark::State& state) {
   state.counters["backtracks"] = static_cast<double>(backtracks);
   state.counters["sleep_blocked"] = static_cast<double>(blocked);
   state.counters["redundant_transitions"] = static_cast<double>(redundant);
-  state.counters["enum_threads_reused"] = static_cast<double>(reused);
-  state.counters["enum_threads_recomputed"] =
-      static_cast<double>(recomputed);
 
   // Untimed telemetry pass: where each mode's node cost actually goes
   // (phase_share_* counters; the timed loop stays telemetry-off).
@@ -168,7 +160,7 @@ void por_litmus_catalog(benchmark::State& state) {
   }
   rc11bench::record_phase_counters(state, tel.profile());
 }
-BENCHMARK(por_litmus_catalog)->DenseRange(0, 5)->Unit(
+BENCHMARK(por_litmus_catalog)->DenseRange(0, 2)->Unit(
     benchmark::kMillisecond);
 
 void litmus_catalog_throughput(benchmark::State& state) {
@@ -177,8 +169,8 @@ void litmus_catalog_throughput(benchmark::State& state) {
   // checker, not the front end). This is the headline number the
   // incremental semantics engine is tuned for; BENCH_mc_scaling.json
   // carries states_per_sec / transitions_per_sec / peak_seen_bytes per
-  // POR mode — including the optimal wakeup-tree modes — and CI gates
-  // every baselined entry against the checked-in baseline
+  // POR mode, and CI gates every baselined entry against the checked-in
+  // baseline
   // (tools/check_bench_regression.py).
   const auto mode = static_cast<std::size_t>(state.range(0));
   std::vector<lang::Program> programs;
@@ -188,25 +180,19 @@ void litmus_catalog_throughput(benchmark::State& state) {
   mc::ExploreOptions opts;
   opts.por = kPorModes[mode];
   std::size_t states = 0, transitions = 0, peak = 0;
-  std::size_t reused = 0, recomputed = 0;
   for (auto _ : state) {
-    states = transitions = peak = reused = recomputed = 0;
+    states = transitions = peak = 0;
     for (const lang::Program& p : programs) {
       const mc::ExploreResult r = mc::explore(p, opts, {});
       states += r.stats.states;
       transitions += r.stats.transitions;
       peak += r.stats.peak_seen_bytes;
-      reused += r.stats.enum_threads_reused;
-      recomputed += r.stats.enum_threads_recomputed;
     }
   }
   state.SetLabel(mc::por_mode_name(opts.por));
   state.counters["states"] = static_cast<double>(states);
   state.counters["transitions"] = static_cast<double>(transitions);
   state.counters["peak_seen_bytes"] = static_cast<double>(peak);
-  state.counters["enum_threads_reused"] = static_cast<double>(reused);
-  state.counters["enum_threads_recomputed"] =
-      static_cast<double>(recomputed);
 
   // Untimed telemetry pass over the same hoisted programs; the CI-gated
   // states_per_sec above never sees a bound WorkerScope.
@@ -218,7 +204,7 @@ void litmus_catalog_throughput(benchmark::State& state) {
   }
   rc11bench::record_phase_counters(state, tel.profile());
 }
-BENCHMARK(litmus_catalog_throughput)->DenseRange(0, 5)->Unit(
+BENCHMARK(litmus_catalog_throughput)->DenseRange(0, 2)->Unit(
     benchmark::kMillisecond);
 
 void parallel_catalog_workers(benchmark::State& state) {
@@ -249,8 +235,6 @@ void parallel_catalog_workers(benchmark::State& state) {
         workers[k].enqueued += w.enqueued;
         workers[k].steals += w.steals;
         workers[k].merged += w.merged;
-        workers[k].enum_reused += w.enum_reused;
-        workers[k].enum_recomputed += w.enum_recomputed;
       }
     }
   }

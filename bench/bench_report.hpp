@@ -71,10 +71,6 @@ inline void record_worker_counters(
     state.counters[pre + "enqueued"] = static_cast<double>(w.enqueued);
     state.counters[pre + "steals"] = static_cast<double>(w.steals);
     state.counters[pre + "merged"] = static_cast<double>(w.merged);
-    state.counters[pre + "enum_reused"] =
-        static_cast<double>(w.enum_reused);
-    state.counters[pre + "enum_recomputed"] =
-        static_cast<double>(w.enum_recomputed);
   }
 }
 

@@ -4,17 +4,12 @@
 // final execution.
 //
 // With --import <file|dir>, runs herd-style .litmus tests (a single file
-// or every *.litmus in a directory) instead of the built-in catalogue;
-// --json <path> additionally writes a machine-readable report (one entry
-// per test: name, POR mode, full-exploration sleep_blocked, pass) for
-// tools/check_ablation_sleep.py.
+// or every *.litmus in a directory) instead of the built-in catalogue.
 //
 //   ./litmus_tour [--test NAME] [--show NAME] [--source NAME]
-//                 [--import PATH] [--json PATH]
+//                 [--import PATH]
 //                 [--telemetry PATH] [--trace-out PATH] [--progress[=ms]]
-//                 [--por none|sleep|source|source-sleep|optimal|
-//                        optimal-parsimonious]
-#include <fstream>
+//                 [--por none|sleep|source-sleep]
 #include <iostream>
 
 #include "litmus/import.hpp"
@@ -28,11 +23,8 @@ int main(int argc, char** argv) {
   cli.option("test", "", "run only this catalogue entry");
   cli.option("show", "", "dump outcomes + a final execution of this test");
   cli.option("source", "", "print the litmus source of this test");
-  cli.option("por", "none",
-             "partial-order reduction: none|sleep|source|source-sleep|"
-             "optimal|optimal-parsimonious");
+  cli.option("por", "none", "partial-order reduction: none|sleep|source-sleep");
   cli.option("import", "", "run herd-style .litmus tests from this file/dir");
-  cli.option("json", "", "write a JSON report of the run to this path");
   obs::TelemetryCli::add_options(cli);
   if (!cli.parse(argc, argv)) {
     std::cerr << cli.error() << "\n" << cli.usage("litmus_tour");
@@ -106,24 +98,6 @@ int main(int argc, char** argv) {
   if (!tcli.finish()) return 1;
   bool all_pass = true;
   for (const auto& r : results) all_pass = all_pass && r.pass;
-
-  if (const std::string json = cli.get("json"); !json.empty()) {
-    std::ofstream out(json);
-    out << "[\n";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      const litmus::RunResult& r = results[i];
-      out << "  {\"name\": \"" << r.name << "\", \"label\": \""
-          << mc::por_mode_name(opts.por) << "\", \"sleep_blocked\": "
-          << r.outcome_stats.sleep_blocked << ", \"pass\": "
-          << (r.pass ? "true" : "false") << "}"
-          << (i + 1 < results.size() ? "," : "") << "\n";
-    }
-    out << "]\n";
-    if (!out) {
-      std::cerr << "cannot write " << json << "\n";
-      return 1;
-    }
-  }
 
   std::cout << (all_pass ? "\nall tests match the model\n"
                          : "\nMISMATCHES FOUND\n");

@@ -31,9 +31,7 @@ constexpr const char* kUnknown = "unknown (state budget hit)";
 int main(int argc, char** argv) {
   util::Cli cli;
   cli.option("bound", "4", "loop unfolding bound");
-  cli.option("por", "none",
-             "partial-order reduction: none|sleep|source|source-sleep|"
-             "optimal|optimal-parsimonious");
+  cli.option("por", "none", "partial-order reduction: none|sleep|source-sleep");
   cli.flag("dot", "dump a Graphviz rendering of one final execution");
   obs::TelemetryCli::add_options(cli);
   const bool parsed_args = cli.parse(argc, argv);

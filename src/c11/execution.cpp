@@ -455,9 +455,6 @@ void Execution::ensure_cache() {
   c.cid = compute_cids();
   compute_fp_lanes(c.fp_a, c.fp_b);
   c.valid = true;
-  // A rebuild means some raw mutation bypassed push/pop: every step-cache
-  // entry minted under the previous epoch is stale.
-  ++cache_epoch_;
 }
 
 const util::Relation& Execution::cached_hb() {
@@ -538,7 +535,6 @@ EventId Execution::push_event(ThreadId tid, const Action& a, EventId w,
   const bool is_wr = a.is_write();
   const bool is_fence = a.is_fence();
   const VarId x = a.var;
-  bump_var_versions(a);
 
   // --- Snapshots over the old universe (pre-append) -----------------------
   if (is_fence) {
@@ -769,7 +765,6 @@ void Execution::pop_event(const UndoToken& tok) {
   const EventId e = tok.event;
   const Action a = events_[e].action;
 
-  bump_var_versions(a);
   c.fp_a -= tok.fp_delta_a;
   c.fp_b -= tok.fp_delta_b;
   if (tok.covered_added) c.covered.reset(tok.observed);

@@ -177,34 +177,6 @@ class Execution {
     return cache_.encountered.size();
   }
 
-  // --- Step-cache version counters ------------------------------------------
-  //
-  // Monotonic counters consumed by the interp-layer step-enumeration cache
-  // (interp::Config::StepCache). A thread's enumerated transitions on
-  // variable x depend only on writes(x), their mo rows, the covered set
-  // restricted to x, and the thread's own encountered set — all of which
-  // can change only when a write or update on x is pushed or popped. Both
-  // directions bump the counters: restoring a version on pop would let a
-  // *different* write pushed after the undo reproduce a previously seen
-  // version number and false-validate a stale cache entry, so the streams
-  // only ever move forward.
-
-  /// Bumped on every push or pop of a write/update on x.
-  [[nodiscard]] std::uint64_t var_write_version(VarId x) const {
-    return x < var_write_ver_.size() ? var_write_ver_[x] : 0;
-  }
-
-  /// Bumped on every push or pop of an update on x (the only operations
-  /// that change the covered set).
-  [[nodiscard]] std::uint64_t var_cover_version(VarId x) const {
-    return x < var_cover_ver_.size() ? var_cover_ver_[x] : 0;
-  }
-
-  /// Bumped on every from-scratch cache rebuild (ensure_cache after a raw
-  /// mutation such as add_mo / clear_rf). Any step-cache entry minted under
-  /// an older epoch is stale regardless of its per-variable versions.
-  [[nodiscard]] std::uint64_t cache_epoch() const { return cache_epoch_; }
-
   /// Adds an rf edge w -> r. Caller guarantees var/value agreement.
   void add_rf(EventId w, EventId r);
 
@@ -307,21 +279,6 @@ class Execution {
 
   void invalidate_cache() { cache_.valid = false; }
 
-  /// Advances the per-variable version streams for a pushed or popped
-  /// event with action `a` (no-op for reads: a read changes only the
-  /// acting thread's encountered set, which its own enumeration never
-  /// caches across).
-  void bump_var_versions(const Action& a) {
-    if (!a.is_write()) return;
-    const VarId x = a.var;
-    if (var_write_ver_.size() <= x) var_write_ver_.resize(x + 1, 0);
-    ++var_write_ver_[x];
-    if (a.is_update()) {
-      if (var_cover_ver_.size() <= x) var_cover_ver_.resize(x + 1, 0);
-      ++var_cover_ver_[x];
-    }
-  }
-
   /// From-scratch fingerprint lanes (the commutative fact sums).
   void compute_fp_lanes(std::uint64_t& a, std::uint64_t& b) const;
 
@@ -361,15 +318,6 @@ class Execution {
     std::uint64_t fp_b = 0;
   };
   Cache cache_;
-
-  /// Step-cache version streams (see the public accessors above). Stored
-  /// outside Cache: they survive cache rebuilds and are never truncated on
-  /// pop_event — monotonicity is what makes version equality a sound
-  /// freshness test. Copied with the Execution, so a forked configuration
-  /// continues its own stream and comparisons never cross streams.
-  std::uint64_t cache_epoch_ = 0;
-  std::vector<std::uint64_t> var_write_ver_;
-  std::vector<std::uint64_t> var_cover_ver_;
 };
 
 }  // namespace rc11::c11

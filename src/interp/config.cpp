@@ -159,10 +159,6 @@ std::vector<ConfigStep> successors(const Config& c, const StepOptions& opts) {
       } else {
         step.next.tau_normal = false;
       }
-      // The materialized path mutates continuations / registers / the
-      // whole Execution directly rather than through apply_step, so the
-      // copied step cache is wholesale stale.
-      step.next.step_cache.invalidate();
       out.push_back(std::move(step));
     };
 
@@ -281,65 +277,50 @@ std::vector<ConfigStep> successors(const Config& c, const StepOptions& opts) {
 
 namespace {
 
-/// Classification of one thread's enumeration: whether the peeked step was
-/// a memory access, and on which variable (the step cache's lazy-validation
-/// key).
-struct ThreadEnumClass {
-  bool memory = false;
-  c11::VarId var = 0;
-};
-
 /// Appends thread t's enabled transitions to `out`, in oracle
 /// (successors()) order. The caller has pinned the Execution's per-thread
 /// cache vectors via reserve_cache_threads, so the references taken here
 /// never dangle across the lazy cached_* growth paths.
-ThreadEnumClass enumerate_thread_steps(Config& c, ThreadId t,
-                                       const StepOptions& opts,
-                                       std::vector<Step>& out) {
+void enumerate_thread_steps(Config& c, ThreadId t, const StepOptions& opts,
+                            std::vector<Step>& out) {
   c11::Execution& ex = c.exec;
-  ThreadEnumClass cls;
 
   // peek_step classifies the enabled transition without materialising
   // continuations (no folded expression copies, no Seq-spine rebuild, no
   // std::function closures) — enumeration only needs kind / var / value.
   const lang::StepPeek pk = lang::peek_step(c.cont[t - 1], c.regs[t - 1]);
 
-  if (pk.kind == lang::PeekKind::kNone) return cls;
+  if (pk.kind == lang::PeekKind::kNone) return;
 
   if (pk.kind == lang::PeekKind::kSilent) {
     if (pk.loop_unfold && opts.loop_bound >= 0 &&
         c.unfoldings[t - 1] >= opts.loop_bound) {
-      return cls;  // bounded out
+      return;  // bounded out
     }
     Step step;
     step.thread = t;
     step.loop_unfold = pk.loop_unfold;
     out.push_back(step);
-    return cls;
+    return;
   }
   if (pk.kind == lang::PeekKind::kRegWrite) {
     Step step;
     step.thread = t;
     out.push_back(step);
-    return cls;
+    return;
   }
   if (pk.kind == lang::PeekKind::kFence) {
-    // Fence rule: always enabled, exactly one transition, no observed
-    // write. Not classified as `memory`: the transition does not depend on
-    // any variable's observability, so the cached entry can only go stale
-    // through the thread-local dirty bit.
+    // Fence rule: always enabled, exactly one transition, no observed write.
     Step step;
     step.thread = t;
     step.silent = false;
     step.action = fence_action(pk.fence);
     out.push_back(step);
-    return cls;
+    return;
   }
 
   // Memory steps: the observable / covered sets come from the
   // incrementally maintained cache — no closures.
-  cls.memory = true;
-  cls.var = pk.var;
   const util::Bitset& covered = ex.cached_covered();
   const util::Bitset& ew = ex.cached_encountered(t);
   const util::Bitset& wx = ex.cached_var_writes(pk.var);
@@ -358,7 +339,7 @@ ThreadEnumClass enumerate_thread_steps(Config& c, ThreadId t,
                                    : c11::Action::rd(pk.var, v);
       out.push_back(step);
     });
-    return cls;
+    return;
   }
 
   if (pk.kind == lang::PeekKind::kWrite) {
@@ -375,7 +356,7 @@ ThreadEnumClass enumerate_thread_steps(Config& c, ThreadId t,
                                    : c11::Action::wr(pk.var, pk.value);
       out.push_back(step);
     });
-    return cls;
+    return;
   }
 
   assert(pk.kind == lang::PeekKind::kUpdate);
@@ -391,7 +372,6 @@ ThreadEnumClass enumerate_thread_steps(Config& c, ThreadId t,
                         : c11::Action::upd(pk.var, m, pk.value);
     out.push_back(step);
   });
-  return cls;
 }
 
 /// Drops every enumerated memory step whose push would violate the Sc
@@ -423,98 +403,25 @@ void filter_sc_steps(Config& c, std::vector<Step>& out) {
 
 }  // namespace
 
-StepEnumCounters& step_enum_counters() {
-  thread_local StepEnumCounters counters;
-  return counters;
-}
-
-void enumerate_steps_uncached(Config& c, const StepOptions& opts,
-                              std::vector<Step>& out) {
-  out.clear();
-  c11::Execution& ex = c.exec;
-  ex.ensure_cache();
-  ex.reserve_cache_threads(static_cast<c11::ThreadId>(c.thread_count()));
-  for (ThreadId t = 1; t <= c.thread_count(); ++t) {
-    enumerate_thread_steps(c, t, opts, out);
-  }
-  if (c.has_sc) filter_sc_steps(c, out);
-}
-
 void enumerate_steps(Config& c, const StepOptions& opts,
                      std::vector<Step>& out) {
-  if (c.has_sc) {
-    // The Sc filter couples a thread's enabled set to every other thread's
-    // events (a push anywhere can complete a psc cycle through old SC
-    // events and fences), which the per-variable version streams do not
-    // track, so the per-thread step cache's locality assumption fails —
-    // bypass it entirely for SC programs. Enumeration here is every
-    // thread's candidates plus one sc_ok_after_push per memory candidate.
-    enumerate_steps_uncached(c, opts, out);
-    return;
-  }
   out.clear();
   c11::Execution& ex = c.exec;
   ex.ensure_cache();
   // Pin the per-thread cache vectors to cover every program thread up
-  // front: the references taken inside enumerate_thread_steps alias
-  // vector elements, and a lazy grow for a not-yet-acting thread
-  // mid-enumeration would invalidate them.
+  // front: the references taken inside enumerate_thread_steps alias vector
+  // elements, and a lazy grow for a not-yet-acting thread mid-enumeration
+  // would invalidate them.
   ex.reserve_cache_threads(static_cast<c11::ThreadId>(c.thread_count()));
 #ifndef NDEBUG
   const std::size_t pinned_threads = ex.cached_thread_count();
 #endif
-
-  StepCache& sc = c.step_cache;
-  if (sc.entries.size() != c.thread_count()) {
-    sc.entries.assign(c.thread_count(), StepCache::Entry{});
-  }
-  // Entries are keyed on the options they were built under: a different
-  // loop bound changes which silent unfold steps exist.
-  if (!sc.opts_seen || sc.loop_bound != opts.loop_bound) {
-    sc.invalidate();
-    sc.loop_bound = opts.loop_bound;
-    sc.opts_seen = true;
-  }
-
-  StepEnumCounters& counters = step_enum_counters();
-  bool changed = false;  // any slice recomputed or shifted?
   for (ThreadId t = 1; t <= c.thread_count(); ++t) {
-    StepCache::Entry& en = sc.entries[t - 1];
-    bool fresh = !en.valid;
-    if (!fresh && en.memory) {
-      // Lazy observability check: any push or pop of a write on the
-      // peeked variable (or a full cache rebuild) advanced one of these
-      // monotonic streams since the entry was minted.
-      fresh = en.epoch != ex.cache_epoch() ||
-              en.write_ver != ex.var_write_version(en.var) ||
-              en.cover_ver != ex.var_cover_version(en.var);
-    }
-    const auto begin = static_cast<std::uint32_t>(out.size());
-    if (fresh) {
-      const ThreadEnumClass cls = enumerate_thread_steps(c, t, opts, out);
-      en.memory = cls.memory;
-      en.var = cls.var;
-      en.epoch = ex.cache_epoch();
-      en.write_ver = ex.var_write_version(cls.var);
-      en.cover_ver = ex.var_cover_version(cls.var);
-      en.valid = true;
-      changed = true;
-      ++counters.recomputed;
-    } else {
-      out.insert(out.end(), sc.steps.begin() + en.begin,
-                 sc.steps.begin() + en.end);
-      if (en.begin != begin) changed = true;  // slice moved
-      ++counters.reused;
-    }
-    en.begin = begin;
-    en.end = static_cast<std::uint32_t>(out.size());
+    enumerate_thread_steps(c, t, opts, out);
   }
-  // Retain the new concatenation as the cache's flat storage. Skipped when
-  // every slice was reused at its old offset (the content is bit-identical
-  // already — the common case along undo-heavy spines).
-  if (changed) sc.steps.assign(out.begin(), out.end());
   assert(ex.cached_thread_count() == pinned_threads &&
          "per-thread cache vectors reallocated mid-enumeration");
+  if (c.has_sc) filter_sc_steps(c, out);
 }
 
 namespace {
@@ -544,11 +451,6 @@ EventId apply_step_impl(Config& c, const Step& s, const StepOptions& opts,
     undo->prev_tau_normal = c.tau_normal;
   }
   ensure_saved(c, undo, t);
-  // Step-cache maintenance: the acting thread's continuation / registers /
-  // unfold count change, so its cached enumeration is stale. Observability
-  // effects on *other* threads are handled lazily by the per-variable
-  // version counters push_event advances.
-  c.step_cache.mark_dirty(t);
   c11::EventId event = c11::kNoEvent;
   // Exec undo token: the caller's, or a reusable scratch when discarded.
   thread_local c11::Execution::UndoToken scratch_tok;
@@ -625,13 +527,11 @@ EventId apply_step_impl(Config& c, const Step& s, const StepOptions& opts,
         assert(tv.has_value());
         if (auto* sil = std::get_if<lang::SilentStep>(&*tv)) {
           ensure_saved(c, undo, u);
-          c.step_cache.mark_dirty(u);
           c.cont[u - 1] = sil->next;
         } else {
           auto* rw = std::get_if<lang::RegWriteStep>(&*tv);
           assert(rw != nullptr);
           ensure_saved(c, undo, u);
-          c.step_cache.mark_dirty(u);
           write_register(c.regs[u - 1], rw->reg, rw->value);
           c.cont[u - 1] = rw->next;
         }
@@ -661,31 +561,13 @@ EventId apply_step(Config& c, const Step& s, const StepOptions& opts) {
 }
 
 void undo_step(Config& c, const StepUndo& undo) {
-  // pop_event advances the popped write's per-variable version streams, so
-  // other threads' observability-stale entries lazily fail validation;
-  // only the threads whose local state is restored here need dirty bits.
   if (!undo.silent) c.exec.pop_event(undo.exec);
   if (undo.loop_unfold) --c.unfoldings[undo.thread - 1];
-  c.step_cache.mark_dirty(undo.thread);
   for (const auto& snap : undo.saved) {
-    c.step_cache.mark_dirty(snap.thread);
     c.cont[snap.thread - 1] = snap.cont;
     c.regs[snap.thread - 1] = snap.regs;
   }
   c.tau_normal = undo.prev_tau_normal;
-}
-
-CanonicalEventId canonical_event_id(const c11::Execution& exec, EventId e) {
-  CanonicalEventId cid;
-  cid.thread = exec.event(e).tid;
-  // Events of one thread are appended in sb order, so the sb-position is
-  // the count of same-thread events with a smaller tag.
-  std::uint32_t rank = 0;
-  for (EventId i = 0; i < e; ++i) {
-    if (exec.event(i).tid == cid.thread) ++rank;
-  }
-  cid.index = rank;
-  return cid;
 }
 
 std::vector<CanonicalEventId> canonical_event_ids(const c11::Execution& exec) {
@@ -703,17 +585,6 @@ void canonical_event_ids(const c11::Execution& exec,
     const c11::ThreadId t = exec.event(e).tid;
     out[e] = {t, rank[t]++};
   }
-}
-
-EventId resolve_canonical_event(const c11::Execution& exec,
-                                const CanonicalEventId& cid) {
-  std::uint32_t rank = 0;
-  for (EventId i = 0; i < exec.size(); ++i) {
-    if (exec.event(i).tid != cid.thread) continue;
-    if (rank == cid.index) return i;
-    ++rank;
-  }
-  return c11::kNoEvent;
 }
 
 bool eval_cond(const lang::CondPtr& cond, const Config& c) {

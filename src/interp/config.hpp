@@ -38,66 +38,12 @@ using lang::Value;
 /// pc value reported for a terminated / unlabeled continuation.
 inline constexpr int kDonePc = 0;
 
-struct Step;
-
-/// Per-thread cache of enumerated transitions (see enumerate_steps). One
-/// apply_step changes the acting thread's continuation plus a bounded
-/// observability delta, so most threads' enabled-transition lists are
-/// identical between sibling nodes. Each entry keeps the thread's Step
-/// slice together with the inputs that produced it; invalidation is
-/// hybrid:
-///
-///  * eager dirty bits for thread-local state — apply_step / undo_step
-///    clear `valid` for every thread whose continuation, registers or
-///    unfold count they touch (the acting thread and any tau-compressed
-///    thread);
-///  * lazy version equality for memory observability — an entry whose
-///    cached peek is a memory access on x records the Execution's
-///    cache_epoch / var_write_version(x) / var_cover_version(x); any
-///    push or pop of a write on x advances those monotonic streams, so a
-///    stale entry fails the equality test at the next enumerate_steps
-///    without anyone having to find it eagerly.
-///
-/// The cache is derived state: it never feeds fingerprints or canonical
-/// keys, and copying a Config forks the version streams together with the
-/// Execution, so entries stay comparable within their own copy.
-struct StepCache {
-  struct Entry {
-    bool valid = false;   ///< false = dirty or never enumerated
-    bool memory = false;  ///< cached peek was a read/write/update
-    c11::VarId var = 0;   ///< peeked variable, when memory
-    std::uint64_t epoch = 0;      ///< exec.cache_epoch() at enumeration
-    std::uint64_t write_ver = 0;  ///< exec.var_write_version(var)
-    std::uint64_t cover_ver = 0;  ///< exec.var_cover_version(var)
-    std::uint32_t begin = 0;      ///< this thread's slice in `steps`
-    std::uint32_t end = 0;
-  };
-  std::vector<Entry> entries;  ///< entry of thread t at [t-1]
-  /// All threads' slices concatenated in thread-ascending order — exactly
-  /// the last enumerate_steps output. Flat storage keeps Config copies
-  /// cheap (two trivially-copyable vector assigns that reuse capacity in
-  /// pooled DPOR nodes, instead of one heap allocation per thread).
-  std::vector<Step> steps;
-  int loop_bound = -1;         ///< StepOptions the entries were built under
-  bool opts_seen = false;
-
-  /// Marks thread t's entry for re-enumeration (no-op if the thread has
-  /// never been enumerated).
-  void mark_dirty(ThreadId t) {
-    if (t >= 1 && t <= entries.size()) entries[t - 1].valid = false;
-  }
-  void invalidate() {
-    for (auto& e : entries) e.valid = false;
-  }
-};
-
 struct Config {
   const Program* program = nullptr;
   std::vector<ComPtr> cont;       ///< continuation of thread t at [t-1]
   std::vector<RegFile> regs;      ///< register file of thread t at [t-1]
   std::vector<int> unfoldings;    ///< while-unfold count of thread t
   Execution exec;
-  StepCache step_cache;           ///< derived; excluded from key/fingerprint
   /// True iff every thread's silent/register steps are drained (tau-normal
   /// form). Lets apply_step's compression pass drain only the acting
   /// thread: silent steps depend solely on the thread's own continuation
@@ -106,9 +52,7 @@ struct Config {
   bool tau_normal = false;
   /// Static program scan (set once by initial_config; lang::scan_sc_features).
   /// With `has_sc`, every enumerated memory step is psc-filtered — an
-  /// enabled transition must keep the Sc axiom satisfiable — and the step
-  /// cache is bypassed: the psc constraint couples enabledness across
-  /// threads, breaking the cache's thread-locality assumption.
+  /// enabled transition must keep the Sc axiom satisfiable.
   bool has_sc = false;
   /// An SC *fence* occurs in the program: SC fences let any two cross-thread
   /// memory accesses interact through psc_f, so the independence relation
@@ -184,8 +128,7 @@ struct StepOptions {
 // such transition on the Config *in place*, recording exactly what it
 // changed in a StepUndo; undo_step reverts it (LIFO). A depth-first
 // explorer therefore mutates one spine Config; the work-stealing engines
-// keep one such Config per worker (mc/cursor.hpp), and only the optimal
-// DPOR engine's tree nodes still materialize copies.
+// keep one such Config per worker (mc/cursor.hpp).
 //
 // enumerate_steps(c) followed by apply_step(c, out[i]) reaches a
 // configuration isomorphic (equal canonical key and fingerprint) to
@@ -229,31 +172,11 @@ struct StepUndo {
 };
 
 /// Appends every enabled transition of c to `out` (cleared first), in the
-/// same order as successors(). Builds the Execution's incremental cache on
-/// first use (hence the mutable Config reference) and maintains
-/// c.step_cache: only threads whose cached entry is dirty (thread-local
-/// change) or version-stale (observability change on the peeked variable)
-/// are re-enumerated; clean threads' slices are spliced from the cache in
-/// thread-ascending order, preserving the exact successors() order.
+/// same order as successors(): each thread's transitions in turn, thread
+/// ascending. Builds the Execution's incremental cache on first use (hence
+/// the mutable Config reference) and reads the observability sets from it.
 void enumerate_steps(Config& c, const StepOptions& opts,
                      std::vector<Step>& out);
-
-/// As enumerate_steps, but always re-enumerates every thread and never
-/// reads or writes c.step_cache — the from-scratch differential oracle for
-/// the cached path (tests/test_stepcache.cpp).
-void enumerate_steps_uncached(Config& c, const StepOptions& opts,
-                              std::vector<Step>& out);
-
-/// Thread-local tallies of enumerate_steps cache behaviour: one tick per
-/// (call, thread) pair, `reused` when the cached slice was spliced,
-/// `recomputed` when the thread was re-enumerated. Engines snapshot the
-/// counters around a search and report the deltas as
-/// ExploreStats::enum_threads_{reused,recomputed}.
-struct StepEnumCounters {
-  std::uint64_t reused = 0;
-  std::uint64_t recomputed = 0;
-};
-[[nodiscard]] StepEnumCounters& step_enum_counters();
 
 /// Applies one enumerated step to c in place (including tau compression
 /// when opts.tau_compress is set, mirroring successors()). Returns the
@@ -269,17 +192,14 @@ EventId apply_step(Config& c, const Step& s, const StepOptions& opts);
 /// Exact inverse of the matching apply_step (LIFO).
 void undo_step(Config& c, const StepUndo& undo);
 
-// --- Canonical event identity (trace-suffix replay across frames) ------------
+// --- Canonical event identity ------------------------------------------------
 //
 // Event tags are interleaving-dependent: the same step appends a different
 // EventId when an independent step of another thread runs first. The
 // canonical identity (thread, sb-position within the thread) is invariant
-// under any reordering of independent steps, so it is how the optimal-DPOR
-// wakeup machinery (mc/wakeup.hpp) names a step's observed write across
-// frames: a wakeup sequence extracted from one explored trace replays as a
-// suffix of any Mazurkiewicz-equivalent prefix by resolving canonical ids
-// against the replay configuration (find_wakeup_step matches the resolved
-// step among the frame's enumerated transitions).
+// under any reordering of independent steps, so it is how step signatures
+// (mc/independence.hpp) name a step's observed write across the frames of
+// equivalent executions.
 
 /// Frame-independent identity of an event. Initialising writes belong to
 /// thread 0 (c11::kInitThread) and are indexed in tag order.
@@ -290,28 +210,17 @@ struct CanonicalEventId {
   auto operator<=>(const CanonicalEventId&) const = default;
 };
 
-/// The canonical id of `e` in `exec` (e must be a valid tag).
-[[nodiscard]] CanonicalEventId canonical_event_id(const c11::Execution& exec,
-                                                  EventId e);
-
-/// Canonical ids of every event in `exec`, in one O(n) pass — for callers
-/// that resolve many events of the same frame (the optimal engine's
-/// leaf-time race reversal builds O(d^2) wakeup steps per maximal
-/// execution).
+/// Canonical ids of every event in `exec`, in one O(n) pass, recomputed
+/// from scratch — the oracle for the ids push_event maintains.
 [[nodiscard]] std::vector<CanonicalEventId> canonical_event_ids(
     const c11::Execution& exec);
 
 /// As above into a caller-owned buffer (resized to exec.size()) — the
-/// step-signature layer canonicalizes every enumerated transition's
-/// observed write once per expanded node, so the scratch must be reusable.
+/// step-signature layer's fallback for executions without a valid
+/// incremental cache, called once per expanded node, so the scratch must
+/// be reusable.
 void canonical_event_ids(const c11::Execution& exec,
                          std::vector<CanonicalEventId>& out);
-
-/// The tag carrying canonical id `cid` in `exec`, or kNoEvent if the
-/// thread has fewer events than cid.index+1 (the event has not been
-/// replayed yet in this frame).
-[[nodiscard]] EventId resolve_canonical_event(const c11::Execution& exec,
-                                              const CanonicalEventId& cid);
 
 /// Evaluates a litmus final-state condition on a configuration:
 /// register atoms read the thread's register file; variable atoms read

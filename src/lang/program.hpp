@@ -65,9 +65,8 @@ class Program {
 
 /// Static summary of the full-RC11 features a program uses. The interpreter
 /// consults it once per exploration: programs with any SC feature need psc
-/// filtering of candidate steps (and bypass the per-thread step cache, whose
-/// thread-locality assumption the global psc constraint breaks); the
-/// independence relation additionally couples everything to SC fences.
+/// filtering of candidate steps; the independence relation additionally
+/// couples everything to SC fences.
 struct ScFeatures {
   bool has_sc = false;        ///< any SC access, SC swap, or SC fence
   bool has_sc_fence = false;  ///< an SC fence specifically

@@ -30,8 +30,8 @@ struct InvariantResult {
 
 /// Checks `invariant` at every reachable configuration (bounded by
 /// options.step.loop_bound if set). tau compression is forced OFF so that
-/// intermediate pcs are observed. DPOR por modes are downgraded to sleep
-/// sets: invariants observe intermediate global states, which only the
+/// intermediate pcs are observed. DPOR is downgraded to sleep sets:
+/// invariants observe intermediate global states, which only the
 /// state-preserving reduction keeps intact.
 [[nodiscard]] InvariantResult check_invariant(const lang::Program& program,
                                               const ConfigPredicate& invariant,

@@ -54,8 +54,8 @@ struct Node {
   /// (mc/independence.hpp build_hb_row), so race detection only builds the
   /// one new row per transition instead of the whole closure.
   std::vector<char> hb_row;
-  /// Transition signatures asleep on arrival (kSourceSetsSleep): their
-  /// executions from here are covered by an earlier sibling subtree.
+  /// Transition signatures asleep on arrival: their executions from here
+  /// are covered by an earlier sibling subtree.
   SleepSet sleep;
 
   // Set when the node arrives (its configuration is visited), before its
@@ -72,9 +72,9 @@ struct Node {
   /// Threads scheduled at this node, in insertion order.
   std::vector<c11::ThreadId> scheduled;
   /// Signatures of the steps already executed from this node, in execution
-  /// order (kSourceSetsSleep). The order is the sleep-set order: a
-  /// later-executed step's subtree may put an earlier-executed sibling
-  /// transition to sleep, never the reverse.
+  /// order. The order is the sleep-set order: a later-executed step's
+  /// subtree may put an earlier-executed sibling transition to sleep, never
+  /// the reverse.
   std::vector<StepSig> executed;
 };
 
@@ -121,7 +121,6 @@ struct Engine {
          const Visitor& vis, std::size_t workers)
       : options(opts),
         visitor(vis),
-        sleep_filter(opts.por == PorMode::kSourceSetsSleep),
         deques(workers),
         worker_stats(workers),
         totals(workers),
@@ -143,7 +142,6 @@ struct Engine {
 
   ExploreOptions options;
   const Visitor& visitor;
-  bool sleep_filter;
   util::WorkDeques<Item> deques;
   std::vector<WorkerStats> worker_stats;
   /// Pure-reporting counters live here, one slab per worker, written by the
@@ -413,7 +411,7 @@ void expand_item(Engine& eng, std::size_t me, const Item& item) {
     if (eng.stop.load(std::memory_order_acquire)) return;
 
     const StepSig& sig = n.sigs[i];
-    if (eng.sleep_filter && sleep_contains(n.sleep, sig)) {
+    if (sleep_contains(n.sleep, sig)) {
       continue;  // covered by an earlier sibling subtree (counted on arrival)
     }
 
@@ -422,7 +420,7 @@ void expand_item(Engine& eng, std::size_t me, const Item& item) {
     // snapshot-and-append is one critical section so concurrent executors
     // at the same node order themselves consistently.
     SleepSet prefix;
-    if (eng.sleep_filter) {
+    {
       std::lock_guard lock(n.mu);
       prefix.assign(n.executed.begin(), n.executed.end());
       n.executed.push_back(sig);
@@ -442,22 +440,19 @@ void expand_item(Engine& eng, std::size_t me, const Item& item) {
     child->in_step = n.steps[i];
     my.max_depth = std::max<std::size_t>(my.max_depth, child->depth + 1);
 
-    if (eng.sleep_filter) {
-      // Godefroid's sleep rule at transition granularity: a sibling
-      // transition stays asleep in the child iff it commutes with the
-      // taken step — inherited sleep plus the earlier-executed siblings.
-      child->sleep.reserve(n.sleep.size() + prefix.size());
-      for (const StepSig& s : n.sleep) {
-        if (independent(s, sig)) child->sleep.push_back(s);
-      }
-      for (const StepSig& s : prefix) {
-        if (independent(s, sig)) child->sleep.push_back(s);
-      }
-      std::sort(child->sleep.begin(), child->sleep.end());
-      child->sleep.erase(
-          std::unique(child->sleep.begin(), child->sleep.end()),
-          child->sleep.end());
+    // Godefroid's sleep rule at transition granularity: a sibling
+    // transition stays asleep in the child iff it commutes with the taken
+    // step — inherited sleep plus the earlier-executed siblings.
+    child->sleep.reserve(n.sleep.size() + prefix.size());
+    for (const StepSig& s : n.sleep) {
+      if (independent(s, sig)) child->sleep.push_back(s);
     }
+    for (const StepSig& s : prefix) {
+      if (independent(s, sig)) child->sleep.push_back(s);
+    }
+    std::sort(child->sleep.begin(), child->sleep.end());
+    child->sleep.erase(std::unique(child->sleep.begin(), child->sleep.end()),
+                       child->sleep.end());
     push_item(eng, me, Item{std::move(child), kArrive});
   }
 }
@@ -533,38 +528,21 @@ void arrive(Engine& eng, std::size_t me, const NodePtr& node) {
 
   prepare_node(x, config, eng.options);
 
-  if (eng.sleep_filter) {
-    // The node's transitions already covered elsewhere are what the sleep
-    // filter refuses to run (whether or not their thread ever gets
-    // scheduled here).
-    std::size_t pruned = 0;
-    for (const StepSig& s : x.sigs) {
-      if (sleep_contains(x.sleep, s)) ++pruned;
-    }
-    my.por_pruned += pruned;
-    if (!x.sigs.empty() && pruned == x.sigs.size()) {
-      // Every enabled transition is asleep: the execution dies here and
-      // its prefix was wasted — the stateless-DPOR redundancy the optimal
-      // wakeup-tree engine (optimal.hpp) eliminates.
-      ++my.sleep_blocked;
-    }
+  // The node's transitions already covered elsewhere are what the sleep
+  // filter refuses to run (whether or not their thread ever gets scheduled
+  // here).
+  std::size_t pruned = 0;
+  for (const StepSig& s : x.sigs) {
+    if (sleep_contains(x.sleep, s)) ++pruned;
+  }
+  my.por_pruned += pruned;
+  if (!x.sigs.empty() && pruned == x.sigs.size()) {
+    // Every enabled transition is asleep: the execution dies here and its
+    // prefix was wasted (stats.sleep_blocked).
+    ++my.sleep_blocked;
   }
 
   schedule_first(eng, me, node);
-}
-
-/// Adds this thread's step-enumeration counter movement since `base` to
-/// worker `me`'s slabs — both the per-worker WorkerStats attribution (the
-/// split survives steal handoffs; engine totals are the sum over workers)
-/// and the reporting totals merged into ExploreStats at finish.
-void flush_enum_counters(Engine& eng, std::size_t me,
-                         const interp::StepEnumCounters& base) {
-  const interp::StepEnumCounters& ec = interp::step_enum_counters();
-  eng.worker_stats[me].enum_reused += ec.reused - base.reused;
-  eng.worker_stats[me].enum_recomputed += ec.recomputed - base.recomputed;
-  eng.totals[me].stats.enum_threads_reused += ec.reused - base.reused;
-  eng.totals[me].stats.enum_threads_recomputed +=
-      ec.recomputed - base.recomputed;
 }
 
 /// Progress heartbeat: the winning worker samples the engine counters. The
@@ -590,7 +568,9 @@ void emit_heartbeat(Engine& eng) {
   eng.options.telemetry->emit(std::move(snap));
 }
 
-void worker_loop_impl(Engine& eng, std::size_t me) {
+void worker_loop(Engine& eng, std::size_t me) {
+  obs::WorkerScope obs_scope(eng.options.telemetry,
+                             static_cast<std::uint32_t>(me));
   constexpr int kYieldRounds = 64;
   int idle_rounds = 0;
   while (true) {
@@ -626,14 +606,6 @@ void worker_loop_impl(Engine& eng, std::size_t me) {
       emit_heartbeat(eng);
     }
   }
-}
-
-void worker_loop(Engine& eng, std::size_t me) {
-  obs::WorkerScope obs_scope(eng.options.telemetry,
-                             static_cast<std::uint32_t>(me));
-  const interp::StepEnumCounters enum_base = interp::step_enum_counters();
-  worker_loop_impl(eng, me);
-  flush_enum_counters(eng, me, enum_base);
 }
 
 }  // namespace
@@ -681,8 +653,8 @@ ExploreResult explore_dpor(const interp::Config& start,
   eng.totals[0].stats.max_depth = 1;
   {
     // The root's visit runs on the calling thread with worker 0's cursor,
-    // before any worker snapshots its own counter base (and under its own
-    // telemetry scope, released before the workers attach theirs).
+    // under its own telemetry scope, released before the workers attach
+    // theirs.
     obs::WorkerScope obs_scope(options.telemetry, 0);
     interp::Config& config = eng.cursors[0].at.config();
     (void)eng.seen.insert(config.fingerprint());
@@ -697,9 +669,7 @@ ExploreResult explore_dpor(const interp::Config& start,
         return finish(/*root_aborted=*/true);
       }
     }
-    const interp::StepEnumCounters enum_base = interp::step_enum_counters();
     prepare_node(*root, config, eng.options);
-    flush_enum_counters(eng, 0, enum_base);
   }
   schedule_first(eng, 0, root);
 

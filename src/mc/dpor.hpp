@@ -18,11 +18,11 @@
 //     initials of v = notdep(e, E).t are computed and, unless one is
 //     already scheduled at E'', one of them is inserted as a backtrack
 //     point (stats.backtracks);
-//   * with PorMode::kSourceSetsSleep, a thread whose every enabled
-//     transition is independent with the step taken stays asleep in the
-//     child when an earlier-scheduled sibling subtree already covers it;
-//     sleeping threads are never scheduled (their skipped transitions are
-//     counted in stats.por_pruned).
+//   * sleep sets filter on top: a transition independent with the step
+//     taken stays asleep in the child when an earlier-executed sibling
+//     subtree already covers it; sleeping transitions are never run (they
+//     are counted in stats.por_pruned, and a node whose every transition
+//     sleeps in stats.sleep_blocked).
 //
 // Soundness (differentially asserted by tests/test_dpor.cpp over the
 // litmus catalogue and the fuzz generator): every Mazurkiewicz trace of
@@ -30,7 +30,7 @@
 // verdicts on terminated configurations, final-state fingerprint sets,
 // outcome sets and race existence all agree with full exploration.
 // Intermediate global states may be skipped — invariant checking must not
-// use these modes (checker.cpp downgrades to sleep sets).
+// use this mode (checker.cpp downgrades to sleep sets).
 //
 // Tree nodes are step paths: a node keeps its parent, its incoming step
 // and its scheduling state, never a configuration. Expanding a scheduled
@@ -57,12 +57,11 @@
 
 namespace rc11::mc {
 
-/// Runs source-set DPOR from `start`. `options.por` selects whether the
-/// sleep-set filter is composed on top (kSourceSetsSleep) or not
-/// (kSourceSets; any other mode is treated as kSourceSets). With
-/// workers > 1 the tree is explored by work-stealing on util::ThreadPool
-/// and the visitor callbacks must be thread-safe; `worker_stats`, when
-/// non-null, receives per-worker counters.
+/// Runs source-set DPOR with the sleep-set filter from `start`, whatever
+/// `options.por` says. With workers > 1 the tree is explored by
+/// work-stealing on util::ThreadPool and the visitor callbacks must be
+/// thread-safe; `worker_stats`, when non-null, receives per-worker
+/// counters.
 ///
 /// The engine always forces step.tau_compress = true: scheduling points
 /// are visible (memory) steps; deterministic silent/register steps are

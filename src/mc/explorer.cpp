@@ -6,7 +6,6 @@
 
 #include "mc/dpor.hpp"
 #include "mc/independence.hpp"
-#include "mc/optimal.hpp"
 
 namespace rc11::mc {
 
@@ -230,7 +229,6 @@ ExploreResult explore_incremental(const interp::Config& start,
   ExploreResult result;
   SeenSet seen;
   std::unordered_map<StateId, SleepSet> sleep_store;
-  const interp::StepEnumCounters enum_base = interp::step_enum_counters();
 
   interp::Config cur = start;  // the spine configuration
 
@@ -274,10 +272,6 @@ ExploreResult explore_incremental(const interp::Config& start,
   };
 
   auto finish_stats = [&] {
-    const interp::StepEnumCounters& ec = interp::step_enum_counters();
-    result.stats.enum_threads_reused = ec.reused - enum_base.reused;
-    result.stats.enum_threads_recomputed =
-        ec.recomputed - enum_base.recomputed;
     result.stats.peak_seen_bytes = options.dedup ? seen.bytes() : 0;
     for (const auto& [id, sleep] : sleep_store) {
       (void)id;
@@ -413,23 +407,15 @@ const char* por_mode_name(PorMode m) {
       return "none";
     case PorMode::kSleepSets:
       return "sleep";
-    case PorMode::kSourceSets:
-      return "source";
     case PorMode::kSourceSetsSleep:
       return "source-sleep";
-    case PorMode::kOptimal:
-      return "optimal";
-    case PorMode::kOptimalParsimonious:
-      return "optimal-parsimonious";
   }
   return "unknown";
 }
 
 std::optional<PorMode> por_mode_from_name(std::string_view name) {
   for (const PorMode m :
-       {PorMode::kNone, PorMode::kSleepSets, PorMode::kSourceSets,
-        PorMode::kSourceSetsSleep, PorMode::kOptimal,
-        PorMode::kOptimalParsimonious}) {
+       {PorMode::kNone, PorMode::kSleepSets, PorMode::kSourceSetsSleep}) {
     if (name == por_mode_name(m)) return m;
   }
   return std::nullopt;
@@ -438,19 +424,15 @@ std::optional<PorMode> por_mode_from_name(std::string_view name) {
 ExploreResult explore_from(const interp::Config& start,
                            const ExploreOptions& options,
                            const Visitor& visitor) {
-  // The DPOR modes run tree-shaped with their own engines (dpor.cpp for
-  // the stateless source-set family, optimal.cpp for wakeup trees).
-  if (is_optimal_dpor(options.por)) {
-    return explore_optimal(start, options, visitor, /*workers=*/1);
-  }
-  if (is_source_dpor(options.por) && !options.pre_execution) {
+  // DPOR runs tree-shaped on its own engine (dpor.cpp). That engine
+  // replays ==>_RA steps on its cursors, so a pre-execution search runs
+  // under sleep sets instead: that reduction keeps every state (the same
+  // downgrade check_invariant applies).
+  if (is_dpor(options.por) && !options.pre_execution) {
     return explore_dpor(start, options, visitor, /*workers=*/1);
   }
-  // The source-set engine replays ==>_RA steps on its cursors, so a
-  // pre-execution search runs under sleep sets instead: that reduction
-  // keeps every state (the same downgrade check_invariant applies).
   ExploreOptions opts = options;
-  if (is_source_dpor(opts.por)) opts.por = PorMode::kSleepSets;
+  if (is_dpor(opts.por)) opts.por = PorMode::kSleepSets;
   // on_transition contracts a materialized ConfigStep per transition, and
   // the pre-execution semantics enumerates through pe_successors; both go
   // through the copying oracle path. No query in checker.hpp hooks

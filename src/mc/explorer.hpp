@@ -6,12 +6,11 @@
 // verification queries (invariants, reachability, outcome enumeration).
 //
 // Partial-order reduction is selected by ExploreOptions::por: sleep sets
-// (state-preserving transition pruning), source-set DPOR (dpor.hpp; the
-// default reduction when one is wanted — prunes redundant interleavings
-// wholesale, preserving verdicts, final-state fingerprints and race
-// reports but not every intermediate global state), or optimal
-// wakeup-tree DPOR (optimal.hpp; removes the stateless engine's
-// sleep-blocked redundancy).
+// (state-preserving transition pruning) or source-set DPOR with the
+// sleep-set filter (dpor.hpp; the default reduction when one is wanted —
+// prunes redundant interleavings wholesale, preserving verdicts,
+// final-state fingerprints and race reports but not every intermediate
+// global state).
 #pragma once
 
 #include <functional>
@@ -38,67 +37,33 @@ enum class PorMode : std::uint8_t {
   /// and the work-stealing parallel explorer (per-item sleep sets).
   kSleepSets,
 
-  /// Source-set dynamic partial-order reduction (mc/dpor.hpp): race
-  /// detection on the explored trace inserts backtrack points per
-  /// source-set DPOR, so only a source set of threads is scheduled at
-  /// each node. Explores at least one interleaving per Mazurkiewicz trace
-  /// of every maximal execution: preserves reachability verdicts on
-  /// terminated states, final-state fingerprints, outcome sets and race
-  /// reports — but may skip intermediate global states, so
-  /// check_invariant downgrades this mode to kSleepSets.
-  kSourceSets,
-
-  /// kSourceSets with sleep sets composed on top as a second filter
-  /// (threads whose executions a sibling subtree already covers are put
-  /// to sleep). The default reduction: strictly stronger pruning than
-  /// either alone.
+  /// Source-set dynamic partial-order reduction (mc/dpor.hpp) with sleep
+  /// sets composed on top: race detection on the explored trace inserts
+  /// backtrack points per source-set DPOR, so only a source set of threads
+  /// is scheduled at each node, and threads whose executions a sibling
+  /// subtree already covers are put to sleep. Explores at least one
+  /// interleaving per Mazurkiewicz trace of every maximal execution:
+  /// preserves reachability verdicts on terminated states, final-state
+  /// fingerprints, outcome sets and race reports — but may skip
+  /// intermediate global states, so check_invariant downgrades this mode
+  /// to kSleepSets.
   kSourceSetsSleep,
-
-  /// Optimal source-set DPOR with wakeup trees (mc/optimal.hpp,
-  /// mc/wakeup.hpp): race reversal computes the whole reversed-race
-  /// continuation v = notdep(e, E).t from the explored trace and inserts
-  /// it into the racing node's wakeup tree (with subsumption against the
-  /// branches already explored or scheduled there), so exploration is
-  /// steered around everything a sibling subtree covers — no execution is
-  /// ever started and then killed by the sleep filter
-  /// (stats.sleep_blocked stays zero) and the visited-transition count
-  /// never exceeds stateless source-set DPOR's. Same preservation
-  /// guarantees (and the same intermediate-state caveat) as kSourceSets.
-  kOptimal,
-
-  /// kOptimal with *parsimonious* race reversal: the inserted wakeup
-  /// sequence is pruned to the dependent core of v — the steps with a
-  /// dependence path to the reversed step t, which are exactly the ones
-  /// needed to re-enable t at the reversal point — so wakeup sequences
-  /// stay short (less tree memory, cheaper subsumption) at the price of
-  /// the strict zero-sleep-blocked guarantee.
-  kOptimalParsimonious,
 };
 
 /// The reduction to use when a caller just asks for "POR": source-set DPOR
 /// with the sleep-set filter.
 inline constexpr PorMode kDefaultPor = PorMode::kSourceSetsSleep;
 
-/// True iff the mode runs the stateless source-set DPOR engine (dpor.hpp).
-[[nodiscard]] constexpr bool is_source_dpor(PorMode m) {
-  return m == PorMode::kSourceSets || m == PorMode::kSourceSetsSleep;
-}
-
-/// True iff the mode runs the optimal wakeup-tree engine (optimal.hpp).
-[[nodiscard]] constexpr bool is_optimal_dpor(PorMode m) {
-  return m == PorMode::kOptimal || m == PorMode::kOptimalParsimonious;
-}
-
-/// True iff the mode runs one of the tree-shaped DPOR engines (source-set
-/// or optimal): these share the DPOR contract — tau-compressed scheduling,
-/// replayable traces, preserved verdicts/finals/races but not intermediate
-/// global states (checkers downgrade them for invariant queries).
+/// True iff the mode runs the tree-shaped source-set DPOR engine
+/// (dpor.hpp): tau-compressed scheduling, replayable traces, preserved
+/// verdicts/finals/races but not intermediate global states (checkers
+/// downgrade it for invariant queries).
 [[nodiscard]] constexpr bool is_dpor(PorMode m) {
-  return is_source_dpor(m) || is_optimal_dpor(m);
+  return m == PorMode::kSourceSetsSleep;
 }
 
-/// Stable short name of a mode ("none", "sleep", "source", "source-sleep",
-/// "optimal", "optimal-parsimonious") — used by the CLI and benches.
+/// Stable short name of a mode ("none", "sleep", "source-sleep") — used by
+/// the CLI and benches.
 [[nodiscard]] const char* por_mode_name(PorMode m);
 
 /// Inverse of por_mode_name; returns nullopt for unknown names.
@@ -111,9 +76,9 @@ struct ExploreOptions {
   std::size_t max_states = 5'000'000;
 
   /// Merge isomorphic configurations. Disable to traverse the raw
-  /// transition tree (used by ablation benches). Ignored by the DPOR
-  /// modes, which always run tree-shaped and use the seen set only to
-  /// count unique states.
+  /// transition tree (used by ablation benches). Ignored by DPOR, which
+  /// always runs tree-shaped and uses the seen set only to count unique
+  /// states.
   bool dedup = true;
 
   /// Explore with the pre-execution semantics ==>_PE instead of ==>_RA

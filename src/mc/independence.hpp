@@ -11,9 +11,9 @@
 // write is named by its *canonical* event id (thread, sb-position —
 // interp::CanonicalEventId), which is invariant under any reordering of
 // independent steps: signatures of the same Mazurkiewicz step compare
-// equal across frames of equivalent executions, so sleep sets, wakeup
-// steps and race-reversal bookkeeping can be exchanged between spines
-// without per-frame tag translation. This keys exploration on *reads-from
+// equal across frames of equivalent executions, so sleep sets and
+// race-reversal bookkeeping can be exchanged between spines without
+// per-frame tag translation. This keys exploration on *reads-from
 // choices*: two enabled instances of one thread's command reading from
 // different writes are different signatures, hence different equivalence
 // classes everywhere in the reduction stack.
@@ -184,7 +184,7 @@ template <typename S, typename CidOf>
 
 /// Fills `sigs` with the signature of every step in `steps` (cleared
 /// first) — the one definition of step-signature construction that every
-/// explorer and both DPOR engines (source-set and optimal) consume.
+/// explorer consumes.
 /// `exec` is the execution the steps were enumerated from. While its
 /// incremental cache is valid, each observed write's canonical id is read
 /// from the ids push_event maintains (O(1) per step); otherwise
@@ -210,13 +210,13 @@ inline void sigs_of(const StepVec& steps, const c11::Execution& exec,
 
 // --- Trace happens-before over step signatures -------------------------------
 //
-// Both DPOR engines detect races on the explored trace E = e_1..e_d with
-// the same machinery: hb is the transitive closure of pairwise dependence
-// along the trace, every trace event caches its own hb row, and each
-// executed transition builds exactly one new row. The helpers are
-// parameterized over accessors so the engines can keep their rows inside
-// their tree nodes: sig_at(k) yields the signature of trace event e_k,
-// row_at(k) its cached row (row_at(k)[i] != 0 iff e_i ->hb e_k).
+// The DPOR engine detects races on the explored trace E = e_1..e_d: hb is
+// the transitive closure of pairwise dependence along the trace, every
+// trace event caches its own hb row, and each executed transition builds
+// exactly one new row. The helpers are parameterized over accessors so the
+// engine can keep its rows inside its tree nodes: sig_at(k) yields the
+// signature of trace event e_k, row_at(k) its cached row
+// (row_at(k)[i] != 0 iff e_i ->hb e_k).
 
 /// Builds the hb row of a step `t_sig` about to extend the trace: on
 /// return row[i] != 0 iff e_i ->hb t (first-hop recurrence, i descending:

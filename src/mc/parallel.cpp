@@ -16,7 +16,6 @@
 #include "mc/cursor.hpp"
 #include "mc/dpor.hpp"
 #include "mc/independence.hpp"
-#include "mc/optimal.hpp"
 #include "util/thread_pool.hpp"
 #include "util/work_deque.hpp"
 
@@ -291,23 +290,9 @@ void worker_loop(ParallelRun& run, std::size_t me) {
   int idle_rounds = 0;
   obs::WorkerScope obs_scope(run.options.telemetry,
                              static_cast<std::uint32_t>(me));
-  // Step-enumeration counters are thread_local: snapshot on entry, flush
-  // the delta to worker `me`'s slabs on every exit path — both the
-  // per-worker WorkerStats attribution (the split survives steal handoffs)
-  // and the reporting totals merged into ExploreStats at finish.
-  const interp::StepEnumCounters enum_base = interp::step_enum_counters();
-  const auto flush_enum = [&] {
-    const interp::StepEnumCounters& ec = interp::step_enum_counters();
-    run.worker_stats[me].enum_reused += ec.reused - enum_base.reused;
-    run.worker_stats[me].enum_recomputed +=
-        ec.recomputed - enum_base.recomputed;
-    run.totals[me].stats.enum_threads_reused += ec.reused - enum_base.reused;
-    run.totals[me].stats.enum_threads_recomputed +=
-        ec.recomputed - enum_base.recomputed;
-  };
   PathCursor cur{Cursor(interp::initial_config(*run.program)), {}};
   while (true) {
-    if (run.stop.load(std::memory_order_acquire)) return flush_enum();
+    if (run.stop.load(std::memory_order_acquire)) return;
     std::optional<WorkItem> item = run.deques.pop_local(me);
     if (!item) {
       item = run.deques.steal(me);
@@ -317,9 +302,7 @@ void worker_loop(ParallelRun& run, std::size_t me) {
       }
     }
     if (!item) {
-      if (run.pending.load(std::memory_order_acquire) == 0) {
-        return flush_enum();
-      }
+      if (run.pending.load(std::memory_order_acquire) == 0) return;
       // Back off while other workers drain a narrow frontier: a few
       // yields, then short sleeps, so idle workers do not burn cores.
       if (++idle_rounds <= kYieldRounds) {
@@ -407,22 +390,14 @@ void export_info(const ParallelRun& run, ParallelRunInfo* info) {
   if (info != nullptr) info->workers = run.worker_stats;
 }
 
-/// Runs the work-stealing tree engine (source-set or optimal wakeup-tree
-/// DPOR, per options.explore.por) for the parallel checkers.
+/// Runs the work-stealing source-set DPOR engine for the parallel
+/// checkers.
 ExploreResult run_dpor(const lang::Program& program,
                        const ParallelOptions& options, const Visitor& visitor,
                        ParallelRunInfo* info) {
-  std::vector<WorkerStats> ws;
-  std::vector<WorkerStats>* wsp = info != nullptr ? &ws : nullptr;
-  const interp::Config start = interp::initial_config(program);
-  ExploreResult r =
-      is_optimal_dpor(options.explore.por)
-          ? explore_optimal(start, options.explore, visitor,
-                            worker_count(options), wsp)
-          : explore_dpor(start, options.explore, visitor,
-                         worker_count(options), wsp);
-  if (info != nullptr) info->workers = std::move(ws);
-  return r;
+  return explore_dpor(interp::initial_config(program), options.explore,
+                      visitor, worker_count(options),
+                      info != nullptr ? &info->workers : nullptr);
 }
 
 /// A race of the execution the reported trace leads to (the checker stops

@@ -19,18 +19,13 @@
 //     and a revisit with an incomparable sleep set re-enqueues the state
 //     for re-expansion with the intersection. State-preserving: sequential
 //     and parallel sleep-set runs visit identical state sets.
-//   * kSourceSets / kSourceSetsSleep — the queries below delegate to the
-//     work-stealing source-set DPOR engine (dpor.hpp), whose work items
-//     carry their tree node; per-node backtrack/sleep state lives in the
-//     shared node objects, so race reversals discovered in stolen subtrees
-//     insert backtrack points into ancestors soundly.
-//   * kOptimal / kOptimalParsimonious — same delegation to the
-//     work-stealing optimal wakeup-tree engine (optimal.hpp); shared
-//     nodes carry their wakeup tree the same way they carry
-//     backtrack/sleep state, so sequences inserted from stolen subtrees
-//     stay sound.
-//     check_invariant_parallel downgrades every DPOR mode to kSleepSets
-//     (invariants observe intermediate states).
+//   * kSourceSetsSleep — the queries below delegate to the work-stealing
+//     source-set DPOR engine (dpor.hpp), whose work items carry their tree
+//     node; per-node backtrack/sleep state lives in the shared node
+//     objects, so race reversals discovered in stolen subtrees insert
+//     backtrack points into ancestors soundly.
+//     check_invariant_parallel downgrades it to kSleepSets (invariants
+//     observe intermediate states).
 //
 // On a single-core host this demonstrates correctness rather than speedup;
 // bench_parallel reports the scaling measured on the build machine.

@@ -18,10 +18,6 @@ std::string ExploreStats::to_string() const {
   if (redundant_transitions > 0) {
     os << " redundant_transitions=" << redundant_transitions;
   }
-  if (enum_threads_reused + enum_threads_recomputed > 0) {
-    os << " enum_reused=" << enum_threads_reused
-       << " enum_recomputed=" << enum_threads_recomputed;
-  }
   if (truncated) os << " (TRUNCATED)";
   return os.str();
 }
@@ -30,10 +26,6 @@ std::string WorkerStats::to_string() const {
   std::ostringstream os;
   os << "processed=" << processed << " enqueued=" << enqueued
      << " steals=" << steals << " merged=" << merged;
-  if (enum_reused + enum_recomputed > 0) {
-    os << " enum_reused=" << enum_reused
-       << " enum_recomputed=" << enum_recomputed;
-  }
   return os.str();
 }
 

@@ -56,32 +56,19 @@ struct ExploreStats {
   /// Executions started and then killed by the sleep filter: tree nodes
   /// whose every enabled transition was asleep (the prefix explored to
   /// reach them was redundant). Nonzero only under the stateless DPOR
-  /// engines; the optimal wakeup-tree modes keep it at zero by
-  /// construction (tests/test_dpor.cpp asserts this on the catalogue).
+  /// engine.
   std::size_t sleep_blocked = 0;
-  /// Maximal traces the tree-shaped DPOR engines ran to completion
+  /// Maximal traces the tree-shaped DPOR engine ran to completion
   /// (terminated leaves; duplicate final *states* included — this counts
-  /// explored interleavings, not unique outcomes like `finals`). The
-  /// optimality theorem speaks in this currency: the wakeup-tree modes
-  /// complete at most one trace per Mazurkiewicz class, so their count
-  /// never exceeds stateless source-set DPOR's on the same program. Raw
-  /// `transitions` obeys no such bound — two optimal runs covering the
-  /// same classes can differ in how their representatives share
-  /// prefixes. Zero under the deduplicating graph explorers.
+  /// explored interleavings, not unique outcomes like `finals`). Zero
+  /// under the deduplicating graph explorers.
   std::size_t complete_traces = 0;
   /// Transitions executed from a configuration that — itself or via an
   /// ancestor on its spine — had already been visited when reached: the
-  /// re-explored shared suffixes of the tree-shaped DPOR engines. The
+  /// re-explored shared suffixes of the tree-shaped DPOR engine. The
   /// deduplicating graph explorers merge duplicates instead of
   /// re-expanding them, so they always report zero here.
   std::size_t redundant_transitions = 0;
-  /// Step-enumeration cache behaviour (interp::enumerate_steps): per
-  /// (enumeration, thread) pair, whether the thread's cached transition
-  /// slice was spliced (`reused`) or had to be re-enumerated
-  /// (`recomputed`). Deterministic for the sequential engines; on the
-  /// catalogue reused should dominate (the cache is the point).
-  std::size_t enum_threads_reused = 0;
-  std::size_t enum_threads_recomputed = 0;
   bool truncated = false;       ///< hit max_states
 
   /// Merges another run's (or worker's) stats into this one: counters add,
@@ -101,8 +88,6 @@ struct ExploreStats {
     sleep_blocked += o.sleep_blocked;
     complete_traces += o.complete_traces;
     redundant_transitions += o.redundant_transitions;
-    enum_threads_reused += o.enum_threads_reused;
-    enum_threads_recomputed += o.enum_threads_recomputed;
     truncated = truncated || o.truncated;
     return *this;
   }
@@ -116,11 +101,6 @@ struct WorkerStats {
   std::size_t enqueued = 0;   ///< fresh successors pushed to its own deque
   std::size_t steals = 0;     ///< items taken from another worker's deque
   std::size_t merged = 0;     ///< successors deduplicated away
-  /// Step-enumeration cache behaviour attributed to this worker (the
-  /// thread_local interp counters are flushed per worker, so the split
-  /// survives steal handoffs; tests pin sum-over-workers == engine total).
-  std::size_t enum_reused = 0;
-  std::size_t enum_recomputed = 0;
 
   [[nodiscard]] std::string to_string() const;
 };
@@ -296,7 +276,7 @@ class ConcurrentSeenSet {
 };
 
 /// Dispatches between SeenSet and ConcurrentSeenSet by worker count, so
-/// single-worker runs of the DPOR/optimal/parallel engines do not pay the
+/// single-worker runs of the DPOR and parallel engines do not pay the
 /// 16-shard fixed footprint (16 empty tables + 16 first pages ≈ a quarter
 /// megabyte per explored program) or the per-insert lock. The parallel
 /// explorers construct one per run; the StateId encoding follows the

@@ -55,8 +55,6 @@ const char* phase_name(Phase p) {
       return "fingerprint";
     case Phase::kSeenProbe:
       return "seen_probe";
-    case Phase::kWakeupInsert:
-      return "wakeup_insert";
     case Phase::kRaceDetect:
       return "race_detect";
   }

@@ -22,22 +22,20 @@
 // allocation. Engines may therefore instrument hot paths unconditionally.
 namespace rc11::obs {
 
-// Phase taxonomy shared by all four engines. Timing is *exclusive* (flat):
+// Phase taxonomy shared by all three engines. Timing is *exclusive* (flat):
 // entering a nested phase suspends the parent, so e.g. push_event ticks that
 // occur inside apply are attributed to push_event only and shares sum to <= 1.
 enum class Phase : std::uint8_t {
-  kEnumerate = 0,   // interp::enumerate_steps (step cache hit or miss)
-                    // + step signatures (mc::sigs_of)
-  kApply,           // interp::apply_step (+ the optimal engine's node
-                    // Config copy)
+  kEnumerate = 0,   // interp::enumerate_steps + step signatures
+                    // (mc::sigs_of)
+  kApply,           // interp::apply_step
   kUndo,            // interp::undo_step
   kPushEvent,       // Execution::push_event inside apply (relation growth)
   kFingerprint,     // Config::fingerprint
   kSeenProbe,       // seen-set insert/lookup
-  kWakeupInsert,    // wakeup-tree sequence insertion (optimal engine)
-  kRaceDetect,      // race reversal scan (DPOR/optimal engines)
+  kRaceDetect,      // race reversal scan (DPOR engine)
 };
-inline constexpr std::size_t kPhaseCount = 8;
+inline constexpr std::size_t kPhaseCount = 7;
 
 const char* phase_name(Phase p);
 

@@ -1,7 +1,7 @@
 // Bump-pointer arena and pooled, intrusively ref-counted nodes for the
-// DPOR/optimal exploration trees.
+// DPOR exploration tree.
 //
-// The tree-shaped explorers allocate one Node per executed transition and
+// The tree-shaped explorer allocates one Node per executed transition and
 // free it when the last queue item or child pointing at it dies. With
 // std::shared_ptr that is one control-block allocation per transition plus
 // atomic ref traffic scattered across the heap; with millions of
@@ -13,18 +13,13 @@
 //    (in reverse creation order) when the arena dies. Creation registers
 //    a finalizer, so non-trivially-destructible nodes are safe.
 //  - ArenaPool<T>: a free-list of recycled T* on top of an Arena. A
-//    released node keeps the heap buffers of its members (vectors,
-//    Config), so re-acquiring one turns per-transition allocation into
+//    released node keeps the heap buffers of its members (vectors), so
+//    re-acquiring one turns per-transition allocation into
 //    capacity-reusing assignment once the pool is warm.
-//  - PoolRef<T> / PoolWeakRef<T>: intrusive shared/weak handles. T
-//    provides `refs` (atomic counter) and, if weak handles are used,
-//    `gen` (atomic generation counter bumped on every release back to the
-//    pool). When the strong count hits zero the holder calls the ADL hook
+//  - PoolRef<T>: an intrusive shared handle. T provides `refs` (atomic
+//    counter). When the count hits zero the holder calls the ADL hook
 //    `pooled_dispose(T*)`, which scrubs the node and pushes it onto its
-//    engine's free list. A weak handle remembers the generation it was
-//    created under; lock() succeeds only if the node is still alive *and*
-//    of the same generation (reuse bumps `gen`, so stale weak handles to
-//    recycled nodes fail exactly like expired std::weak_ptrs).
+//    engine's free list.
 //
 // Lifetime rules (also summarised in src/mc/README.md): the Arena/
 // ArenaPool must be declared before — and therefore destroyed after —
@@ -145,9 +140,6 @@ class ArenaPool {
   Arena arena_;
 };
 
-template <typename T>
-class PoolWeakRef;
-
 /// Intrusive shared handle to a pooled node. T must expose
 /// `std::atomic<std::uint32_t> refs` and define an ADL-visible
 /// `pooled_dispose(T*)` that scrubs the node and returns it to its pool.
@@ -201,12 +193,7 @@ class PoolRef {
   explicit operator bool() const { return p_ != nullptr; }
   [[nodiscard]] bool operator==(const PoolRef& o) const { return p_ == o.p_; }
 
-  /// Weak handle pinned to the node's current generation.
-  [[nodiscard]] PoolWeakRef<T> weak() const;
-
  private:
-  friend class PoolWeakRef<T>;
-
   static void unref(T* p) {
     // Release ordering publishes our writes to the node before another
     // thread recycles it; the disposer's acquire pairs with it.
@@ -217,55 +204,5 @@ class PoolRef {
 
   T* p_ = nullptr;
 };
-
-/// Weak companion of PoolRef. T additionally exposes
-/// `std::atomic<std::uint64_t> gen`, bumped by pooled_dispose *before*
-/// the node re-enters the free list: a lock() compares generations, so a
-/// handle to a recycled node expires instead of resurrecting a stranger.
-template <typename T>
-class PoolWeakRef {
- public:
-  PoolWeakRef() = default;
-
-  /// Alive iff the node still holds strong references of our generation.
-  [[nodiscard]] PoolRef<T> lock() const {
-    if (!p_) return {};
-    std::uint32_t refs = p_->refs.load(std::memory_order_acquire);
-    while (true) {
-      if (refs == 0 ||
-          p_->gen.load(std::memory_order_acquire) != gen_) {
-        return {};
-      }
-      if (p_->refs.compare_exchange_weak(refs, refs + 1,
-                                         std::memory_order_acq_rel,
-                                         std::memory_order_acquire)) {
-        // Re-check the generation: the node may have been disposed and
-        // re-acquired between our loads. Our increment raced with the new
-        // owner's count, so just undo it via the normal path.
-        if (p_->gen.load(std::memory_order_acquire) != gen_) {
-          PoolRef<T>::unref(p_);
-          return {};
-        }
-        return PoolRef<T>::adopt(p_);
-      }
-    }
-  }
-
- private:
-  friend class PoolRef<T>;
-
-  T* p_ = nullptr;
-  std::uint64_t gen_ = 0;
-};
-
-template <typename T>
-PoolWeakRef<T> PoolRef<T>::weak() const {
-  PoolWeakRef<T> w;
-  if (p_) {
-    w.p_ = p_;
-    w.gen_ = p_->gen.load(std::memory_order_acquire);
-  }
-  return w;
-}
 
 }  // namespace rc11::util

@@ -23,7 +23,7 @@ Relation& Relation::operator=(const Relation& o) {
   inverse_ = o.inverse_;
   counted_ = o.counted_;
   // assign() copy-assigns over the existing rows, so their storage is
-  // reused (the per-transition Config copy of the tree engines).
+  // reused.
   rows_.assign(o.rows_.begin(),
                o.rows_.begin() + static_cast<std::ptrdiff_t>(o.n_));
   if (inverse_) {

@@ -32,15 +32,10 @@ namespace rc11::util {
 /// bring the row to size first, writing through mutable storage; contains,
 /// pairs, pair_count, empty, operator==, hash and copying never write. So a
 /// relation is safe to read from several threads only through the
-/// non-writing group. In this library the only executions read by several
-/// threads at once are the tree nodes of the parallel optimal DPOR engine
-/// (optimal.cpp): other workers copy a node's Config
-/// (`child->config = n.config`) and test mo pairs with contains(); every
-/// row read runs on a Config that one worker owns (a child before it is
-/// published, or a worker's cursor). The source-set DPOR engine and the
-/// parallel explorer keep configurations only on per-worker cursors. A
-/// Visitor::on_transition hook, which the optimal engine hands the shared
-/// parent Config, is not installed by any parallel query.
+/// non-writing group. In this library no execution is read by several
+/// threads at once: the DPOR engine and the parallel explorer keep
+/// configurations only on per-worker cursors, so every row read runs on a
+/// Config that one worker owns.
 class Relation {
  public:
   Relation() = default;

@@ -5,8 +5,7 @@
 // For each program in the litmus catalogue plus a table of hand-written
 // racy/raceless programs, the oracle asserts that
 //
-//   {sequential, parallel} x {full, sleep sets, source-DPOR,
-//    source-DPOR+sleep, optimal, optimal-parsimonious}
+//   {sequential, parallel} x {full, sleep sets, source-DPOR+sleep}
 //
 // all agree on: the litmus exists-condition verdict, the set of
 // final-state (terminated-execution) fingerprints, the outcome set, and
@@ -14,21 +13,17 @@
 // all-pairs oracle rather than full exploration's own race query. Also
 // enforced here:
 //
-//   * the ISSUE acceptance bars — the default DPOR mode explores at most
-//     50% of the full-exploration state count on at least half the
-//     catalogue; the optimal wakeup-tree modes report zero sleep-blocked
-//     executions on every catalogue program and never visit more
-//     transitions than stateless source-set DPOR;
-//   * stateless source-set DPOR's redundancy (sleep-blocked executions /
-//     re-explored shared suffixes) is nonzero on an all-conflicting
-//     litmus — the pathology the optimal engine removes;
+//   * the default DPOR mode explores at most 50% of the full-exploration
+//     state count on at least half the catalogue;
+//   * stateless source-set DPOR's redundancy (re-explored shared
+//     suffixes) is nonzero on an all-conflicting litmus, and zero under
+//     the deduplicating graph explorers;
 //   * DPOR visits a subset of the reachable states (never an invented
 //     one);
-//   * every counterexample/witness trace returned under DPOR (all three
-//     tree engines) replays deterministically to the reported violating
-//     state (replay_trace);
-//   * check_invariant downgrades every DPOR mode to the state-preserving
-//     sleep-set mode;
+//   * every counterexample/witness trace returned under DPOR replays
+//     deterministically to the reported violating state (replay_trace);
+//   * check_invariant downgrades DPOR to the state-preserving sleep-set
+//     mode;
 //   * the sequential source-set engine's exact counters on fixed programs,
 //     and its two cold paths: Visitor::on_transition, and a pre-execution
 //     search (run under sleep sets).
@@ -69,22 +64,11 @@ struct Mode {
 constexpr Mode kModes[] = {
     {"seq-full", PorMode::kNone, false},
     {"seq-sleep", PorMode::kSleepSets, false},
-    {"seq-dpor", PorMode::kSourceSets, false},
     {"seq-dpor-sleep", PorMode::kSourceSetsSleep, false},
-    {"seq-optimal", PorMode::kOptimal, false},
-    {"seq-optimal-pars", PorMode::kOptimalParsimonious, false},
     {"par-full", PorMode::kNone, true},
     {"par-sleep", PorMode::kSleepSets, true},
-    {"par-dpor", PorMode::kSourceSets, true},
     {"par-dpor-sleep", PorMode::kSourceSetsSleep, true},
-    {"par-optimal", PorMode::kOptimal, true},
-    {"par-optimal-pars", PorMode::kOptimalParsimonious, true},
 };
-
-/// The tree-engine modes (traces replay under tau compression).
-constexpr PorMode kTreeModes[] = {
-    PorMode::kSourceSets, PorMode::kSourceSetsSleep, PorMode::kOptimal,
-    PorMode::kOptimalParsimonious};
 
 ExploreOptions seq_options(PorMode por) {
   ExploreOptions o;
@@ -180,11 +164,9 @@ TEST(DporOracle, DporVisitsOnlyReachableStates) {
   for (const auto& test : litmus::catalog()) {
     const auto parsed = lang::parse_litmus(test.source);
     const auto full = explore(parsed.program, seq_options(PorMode::kNone), {});
-    for (PorMode por : kTreeModes) {
-      const auto dpor = explore(parsed.program, seq_options(por), {});
-      EXPECT_LE(dpor.stats.states, full.stats.states) << test.name;
-      EXPECT_GT(dpor.stats.states, 0u) << test.name;
-    }
+    const auto dpor = explore(parsed.program, seq_options(kDefaultPor), {});
+    EXPECT_LE(dpor.stats.states, full.stats.states) << test.name;
+    EXPECT_GT(dpor.stats.states, 0u) << test.name;
   }
 }
 
@@ -208,73 +190,19 @@ TEST(DporOracle, DefaultDporHalvesStatesOnHalfTheCatalog) {
                                << summary;
 }
 
-// --- Optimality (the tentpole acceptance bars) --------------------------------
+// --- Tree-engine redundancy ---------------------------------------------------
 
-TEST(OptimalDpor, ZeroSleepBlockedAcrossCatalog) {
-  // The wakeup-tree engine never starts an execution the sleep filter
-  // kills: stats.sleep_blocked must be zero on every catalogue program,
-  // sequentially and in parallel. The parsimonious flavour trades the
-  // strict guarantee for shorter sequences, and parallel scheduling can
-  // shift where its pruned sequences run dry — so it is pinned on the
-  // deterministic sequential engine only.
-  for (const auto& test : litmus::catalog()) {
-    const auto parsed = lang::parse_litmus(test.source);
-    for (PorMode por : {PorMode::kOptimal, PorMode::kOptimalParsimonious}) {
-      const auto seq = explore(parsed.program, seq_options(por), {});
-      EXPECT_EQ(seq.stats.sleep_blocked, 0u)
-          << test.name << " under sequential " << por_mode_name(por);
-    }
-    const auto par =
-        enumerate_outcomes_parallel(parsed.program,
-                                    par_options(PorMode::kOptimal));
-    EXPECT_EQ(par.stats.sleep_blocked, 0u)
-        << test.name << " under parallel optimal";
-  }
-}
-
-TEST(OptimalDpor, TransitionsNeverExceedSourceSetDporAcrossCatalog) {
-  // The optimal engine's visited-transition count is bounded by the
-  // stateless source-set DPOR engine's on every catalogue program —
-  // including the all-conflicting ones where the stateless tree
-  // re-explores shared suffixes past full exploration. (Against the
-  // sleep-composed kSourceSetsSleep variant the bound holds on all but
-  // IRIW-shaped programs, where thread-granular sibling branching under
-  // wakeup guidance pays a small premium — see src/mc/README.md.)
-  for (const auto& test : litmus::catalog()) {
-    const auto parsed = lang::parse_litmus(test.source);
-    const auto src = explore(parsed.program, seq_options(PorMode::kSourceSets),
-                             {});
-    const auto opt =
-        explore(parsed.program, seq_options(PorMode::kOptimal), {});
-    EXPECT_LE(opt.stats.transitions, src.stats.transitions) << test.name;
-  }
-}
-
-TEST(OptimalDpor, StatelessDporRedundancyIsNonzeroOnAllConflictingLitmus) {
-  // Pins the pathology the tentpole fixes: on CoRR2 — the catalogue's
-  // all-conflicting workload (two same-variable writers, two readers
-  // reading the variable twice) — stateless source-set DPOR re-explores
-  // shared suffixes (redundant_transitions > 0) and, without the sleep
-  // filter, visits MORE transitions than full exploration.
+TEST(DporRedundancy, StatelessDporRedundancyIsNonzeroOnAllConflictingLitmus) {
+  // On CoRR2 — the catalogue's all-conflicting workload (two same-variable
+  // writers, two readers reading the variable twice) — stateless
+  // source-set DPOR re-explores shared suffixes (redundant_transitions > 0)
+  // even with the sleep filter.
   const auto parsed = lang::parse_litmus(litmus::find_test("CoRR2").source);
-  const auto full = explore(parsed.program, seq_options(PorMode::kNone), {});
-  const auto src =
-      explore(parsed.program, seq_options(PorMode::kSourceSets), {});
-  const auto src_sleep =
-      explore(parsed.program, seq_options(PorMode::kSourceSetsSleep), {});
-  EXPECT_GT(src.stats.redundant_transitions, 0u);
-  EXPECT_GT(src_sleep.stats.redundant_transitions, 0u);
-  EXPECT_GT(src.stats.transitions, full.stats.transitions)
-      << "stateless DPOR no longer exceeds full exploration on CoRR2; "
-         "update this pin";
-  // The optimal engine stays at or below both on the same program.
-  const auto opt = explore(parsed.program, seq_options(PorMode::kOptimal), {});
-  EXPECT_LE(opt.stats.transitions, src_sleep.stats.transitions);
-  EXPECT_LT(opt.stats.transitions, src.stats.transitions);
-  EXPECT_EQ(opt.stats.sleep_blocked, 0u);
+  const auto r = explore(parsed.program, seq_options(kDefaultPor), {});
+  EXPECT_GT(r.stats.redundant_transitions, 0u);
 }
 
-TEST(OptimalDpor, GraphExplorersReportZeroRedundancy) {
+TEST(DporRedundancy, GraphExplorersReportZeroRedundancy) {
   // The deduplicating graph explorers merge duplicates instead of
   // re-expanding them: redundant_transitions is tree-engine-only.
   const auto parsed = lang::parse_litmus(litmus::find_test("CoRR2").source);
@@ -453,28 +381,27 @@ TEST(DporOracle, OutcomesAgreeOnHandwrittenTable) {
 TEST(DporTraces, WitnessesReplayAcrossCatalog) {
   // Every witness returned under DPOR (both explorers) must replay
   // deterministically to a terminated state satisfying the condition.
+  const PorMode por = kDefaultPor;
   for (const auto& test : litmus::catalog()) {
     const auto parsed = lang::parse_litmus(test.source);
-    for (PorMode por : kTreeModes) {
-      const auto seq =
-          check_reachable(parsed.program, parsed.condition, seq_options(por));
-      if (seq.reachable) {
-        const auto c =
-            replay_trace(parsed.program, seq.witness, replay_options(por));
-        ASSERT_TRUE(c.has_value()) << test.name << " (sequential DPOR)";
-        EXPECT_TRUE(c->terminated()) << test.name;
-        EXPECT_TRUE(interp::eval_cond(parsed.condition, *c)) << test.name;
-      }
-      const auto par = check_reachable_parallel(parsed.program,
-                                                parsed.condition,
-                                                par_options(por));
-      if (par.reachable) {
-        const auto c =
-            replay_trace(parsed.program, par.witness, replay_options(por));
-        ASSERT_TRUE(c.has_value()) << test.name << " (parallel DPOR)";
-        EXPECT_TRUE(c->terminated()) << test.name;
-        EXPECT_TRUE(interp::eval_cond(parsed.condition, *c)) << test.name;
-      }
+    const auto seq =
+        check_reachable(parsed.program, parsed.condition, seq_options(por));
+    if (seq.reachable) {
+      const auto c =
+          replay_trace(parsed.program, seq.witness, replay_options(por));
+      ASSERT_TRUE(c.has_value()) << test.name << " (sequential DPOR)";
+      EXPECT_TRUE(c->terminated()) << test.name;
+      EXPECT_TRUE(interp::eval_cond(parsed.condition, *c)) << test.name;
+    }
+    const auto par = check_reachable_parallel(parsed.program,
+                                              parsed.condition,
+                                              par_options(por));
+    if (par.reachable) {
+      const auto c =
+          replay_trace(parsed.program, par.witness, replay_options(por));
+      ASSERT_TRUE(c.has_value()) << test.name << " (parallel DPOR)";
+      EXPECT_TRUE(c->terminated()) << test.name;
+      EXPECT_TRUE(interp::eval_cond(parsed.condition, *c)) << test.name;
     }
   }
 }
@@ -489,20 +416,17 @@ TEST(DporOracle, CheckInvariantDowngradesDporToSleepSets) {
   const auto plain = check_invariant(
       parsed.program, [](const interp::Config&) { return true; },
       seq_options(PorMode::kNone));
-  for (PorMode por : {kDefaultPor, PorMode::kOptimal}) {
-    const auto dpor = check_invariant(
-        parsed.program, [](const interp::Config&) { return true; },
-        seq_options(por));
-    EXPECT_TRUE(dpor.holds) << por_mode_name(por);
-    EXPECT_EQ(dpor.stats.states, plain.stats.states) << por_mode_name(por);
+  const auto dpor = check_invariant(
+      parsed.program, [](const interp::Config&) { return true; },
+      seq_options(kDefaultPor));
+  EXPECT_TRUE(dpor.holds);
+  EXPECT_EQ(dpor.stats.states, plain.stats.states);
 
-    const auto par_dpor = check_invariant_parallel(
-        parsed.program, [](const interp::Config&) { return true; },
-        par_options(por));
-    EXPECT_TRUE(par_dpor.holds) << por_mode_name(por);
-    EXPECT_EQ(par_dpor.stats.states, plain.stats.states)
-        << por_mode_name(por);
-  }
+  const auto par_dpor = check_invariant_parallel(
+      parsed.program, [](const interp::Config&) { return true; },
+      par_options(kDefaultPor));
+  EXPECT_TRUE(par_dpor.holds);
+  EXPECT_EQ(par_dpor.stats.states, plain.stats.states);
 }
 
 // --- Reduction sanity ---------------------------------------------------------
@@ -527,12 +451,6 @@ TEST(DporReduction, IndependentWritersCollapseToOneTraceClass) {
   EXPECT_EQ(dpor.stats.backtracks, 0u);
   EXPECT_EQ(full.stats.finals, 1u);
   EXPECT_EQ(dpor.stats.finals, 1u);
-  for (PorMode por : {PorMode::kOptimal, PorMode::kOptimalParsimonious}) {
-    const auto opt = explore(p, seq_options(por), {});
-    EXPECT_EQ(opt.stats.states, 4u) << por_mode_name(por);
-    EXPECT_EQ(opt.stats.backtracks, 0u) << por_mode_name(por);
-    EXPECT_EQ(opt.stats.redundant_transitions, 0u) << por_mode_name(por);
-  }
 }
 
 // --- RMW-nondeterminism family ------------------------------------------------
@@ -540,11 +458,9 @@ TEST(DporReduction, IndependentWritersCollapseToOneTraceClass) {
 // Programs whose nondeterminism flows through RMW *data* values rather
 // than thread schedules alone: bounded test-and-set lock-acquisition
 // loops, an emulated fetch-add race (acquire read + swap of read+1), and
-// locations with >= 3 RMW writers. PR 5's thread-deterministic optimality
-// argument did not cover these — exploration keyed on reads-from choices
-// must never start a sleep-doomed execution here either, and all twelve
-// mode x parallelism combinations must agree on verdict, outcome set, and
-// final-state fingerprints.
+// locations with >= 3 RMW writers. All six mode x parallelism
+// combinations must agree on verdict, outcome set, and final-state
+// fingerprints.
 
 constexpr int kRmwLoopBound = 2;  ///< bounds the TAS retry loops
 
@@ -635,73 +551,24 @@ TEST(RmwNondeterminism, AllModesAgreeOnVerdictOutcomesAndFinals) {
   }
 }
 
-TEST(RmwNondeterminism, ZeroSleepBlockedForOptimalModes) {
-  // The tentpole acceptance bar on the RMW family: no execution ever
-  // starts only to die in the sleep filter — sequentially and in
-  // parallel, for both optimal flavours.
-  for (const char* source : kRmwFamily) {
-    const auto parsed = lang::parse_litmus(source);
-    for (PorMode por : {PorMode::kOptimal, PorMode::kOptimalParsimonious}) {
-      const auto seq = explore(parsed.program, rmw_seq_options(por), {});
-      EXPECT_EQ(seq.stats.sleep_blocked, 0u)
-          << parsed.name << " under sequential " << por_mode_name(por);
-      const auto par =
-          enumerate_outcomes_parallel(parsed.program, rmw_par_options(por));
-      EXPECT_EQ(par.stats.sleep_blocked, 0u)
-          << parsed.name << " under parallel " << por_mode_name(por);
-    }
-  }
-}
-
 TEST(RmwNondeterminism, ParallelSiblingMergeKeepsAllExecutions) {
-  // Regression pin for the first-writer-wins sleep_store.try_emplace merge
-  // the optimal engine's parallel path used to carry: when two workers
-  // reached the same shared node, the later sibling's (smaller) pruning
-  // context was silently dropped, which showed up as sleep-blocked
-  // restarts — 20 sequential / 26 parallel on rmw_tas_lock under the
-  // parsimonious flavour — and, for prescribed wakeup subtrees, lost
-  // executions. With exploration keyed on reads-from choices the store is
-  // gone; repeated parallel runs (work-stealing varies the arrival order)
-  // must stay at zero sleep_blocked with the full final-state set.
+  // Work-stealing varies the order in which siblings reach shared nodes:
+  // repeated parallel runs of both parallel reductions must keep the full
+  // final-state set on the TAS lock — the DPOR engine's per-node
+  // backtrack/sleep state, and the parallel explorer's per-state sleep
+  // store, whose intersect-and-revisit merge is never first-writer-wins.
   const auto parsed = lang::parse_litmus(kRmwFamily[0]);  // rmw_tas_lock
   const auto expect =
       collect_final_executions(parsed.program, rmw_seq_options(PorMode::kNone));
   for (int round = 0; round < 4; ++round) {
-    for (PorMode por : {PorMode::kOptimal, PorMode::kOptimalParsimonious}) {
-      const auto stats =
-          enumerate_outcomes_parallel(parsed.program, rmw_par_options(por))
-              .stats;
-      EXPECT_EQ(stats.sleep_blocked, 0u)
-          << "round " << round << " under " << por_mode_name(por);
-      EXPECT_EQ(
-          collect_final_executions_parallel(parsed.program, rmw_par_options(por)),
-          expect)
-          << "round " << round << " under " << por_mode_name(por);
-    }
-    // The non-optimal parallel explorer still carries a per-state sleep
-    // store; its intersect-and-revisit merge (never first-writer-wins)
-    // must keep the same final set on the same workload.
+    EXPECT_EQ(collect_final_executions_parallel(parsed.program,
+                                                rmw_par_options(kDefaultPor)),
+              expect)
+        << "round " << round << " under " << por_mode_name(kDefaultPor);
     EXPECT_EQ(collect_final_executions_parallel(
                   parsed.program, rmw_par_options(PorMode::kSleepSets)),
               expect)
         << "round " << round << " under sleep sets";
-  }
-}
-
-TEST(RmwNondeterminism, OptimalTransitionsStayBelowSourceSets) {
-  // On the whole family the wakeup-tree engines visit strictly fewer
-  // transitions than stateless source-set DPOR (8490 vs 15748 on the TAS
-  // lock at loop_bound 2) — the reads-from keying pays for itself exactly
-  // where RMW data nondeterminism used to force sleep-blocked restarts.
-  for (const char* source : kRmwFamily) {
-    const auto parsed = lang::parse_litmus(source);
-    const auto src =
-        explore(parsed.program, rmw_seq_options(PorMode::kSourceSets), {});
-    for (PorMode por : {PorMode::kOptimal, PorMode::kOptimalParsimonious}) {
-      const auto opt = explore(parsed.program, rmw_seq_options(por), {});
-      EXPECT_LE(opt.stats.transitions, src.stats.transitions)
-          << parsed.name << " under " << por_mode_name(por);
-    }
   }
 }
 
@@ -711,9 +578,9 @@ TEST(RmwNondeterminism, OptimalTransitionsStayBelowSourceSets) {
 // A complete search visits nodes in a fixed order, so each of these counts
 // is a property of the algorithm (expansion order, backtrack insertion and
 // sleep sets), not of how the engine materializes a node's configuration.
-// `redundant_transitions`, `merged` and the `enum_threads_*` counters are
-// left out: they depend on the order of seen-set inserts and on step-cache
-// reuse, which an engine may change without changing the search.
+// `redundant_transitions` and `merged` are left out: they depend on the
+// order of seen-set inserts, which an engine may change without changing
+// the search.
 
 struct PinnedCounters {
   std::size_t states, transitions, finals, complete_traces, backtracks,
@@ -782,28 +649,27 @@ TEST(DporCounters, SourceSetsSleepOnTheShapes) {
   }
 }
 
-TEST(DporCounters, SourceSetsOnCatalogueAndTasLock) {
-  // kSourceSets has no sleep filter, so nothing is pruned or blocked.
+TEST(DporCounters, SourceSetsSleepOnCatalogueAndTasLock) {
   const struct {
     const char* name;
     PinnedCounters want;
   } catalogue[] = {
-      {"SB", {13, 24, 4, 12, 3, 0, 0}},
-      {"CoRR2", {273, 3'950, 72, 2'400, 297, 0, 0}},
-      {"IRIW_ra", {86, 654, 16, 322, 90, 0, 0}},
-      {"WRC_ra", {33, 98, 7, 44, 17, 0, 0}},
-      {"ISA2", {43, 117, 7, 47, 17, 0, 0}},
+      {"SB", {13, 17, 4, 8, 2, 1, 0}},
+      {"CoRR2", {273, 2'556, 72, 1'522, 121, 102, 0}},
+      {"IRIW_ra", {78, 185, 16, 77, 17, 45, 1}},
+      {"WRC_ra", {31, 55, 7, 22, 7, 8, 0}},
+      {"ISA2", {36, 61, 7, 22, 7, 10, 0}},
   };
   for (const auto& c : catalogue) {
     const auto parsed = lang::parse_litmus(litmus::find_test(c.name).source);
     const auto r =
-        explore(parsed.program, seq_options(PorMode::kSourceSets), {});
+        explore(parsed.program, seq_options(PorMode::kSourceSetsSleep), {});
     expect_counters(r.stats, c.want, c.name);
   }
   const auto tas = lang::parse_litmus(kRmwFamily[0]);  // rmw_tas_lock
   const auto r =
-      explore(tas.program, rmw_seq_options(PorMode::kSourceSets), {});
-  expect_counters(r.stats, {1'932, 15'748, 42, 192, 1'783, 0, 0}, tas.name);
+      explore(tas.program, rmw_seq_options(PorMode::kSourceSetsSleep), {});
+  expect_counters(r.stats, {1'890, 8'576, 42, 138, 780, 386, 19}, tas.name);
 }
 
 // --- The source-set engine's cold paths ------------------------------------------
@@ -896,12 +762,6 @@ TEST(DporReduction, ConflictingWritersStillCoverAllFinals) {
   const auto dpor = enumerate_outcomes(p, seq_options(kDefaultPor));
   EXPECT_EQ(full.outcomes, dpor.outcomes);
   EXPECT_GT(dpor.stats.backtracks, 0u);
-  for (PorMode por : {PorMode::kOptimal, PorMode::kOptimalParsimonious}) {
-    const auto opt = enumerate_outcomes(p, seq_options(por));
-    EXPECT_EQ(full.outcomes, opt.outcomes) << por_mode_name(por);
-    EXPECT_GT(opt.stats.backtracks, 0u) << por_mode_name(por);
-    EXPECT_EQ(opt.stats.sleep_blocked, 0u) << por_mode_name(por);
-  }
 }
 
 }  // namespace

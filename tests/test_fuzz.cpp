@@ -189,43 +189,13 @@ TEST(DporFuzz, DporAgreesWithFullExplorationOn200Programs) {
     const auto full_fps = mc::collect_final_executions(p);
     ASSERT_FALSE(full_out.stats.truncated) << tag;
 
-    const bool small = o.threads < 4;
-    for (const mc::PorMode por :
-         {mc::PorMode::kSourceSets, mc::PorMode::kSourceSetsSleep,
-          mc::PorMode::kOptimal, mc::PorMode::kOptimalParsimonious}) {
-      // The pure source-set mode (no sleep filter) re-explores the most;
-      // exercise it on the small programs only.
-      if (por == mc::PorMode::kSourceSets && !small) continue;
-      mc::ExploreOptions dopts;
-      dopts.por = por;
-      const auto dpor_out = mc::enumerate_outcomes(p, dopts);
-      EXPECT_EQ(dpor_out.outcomes, full_out.outcomes) << tag;
-      EXPECT_EQ(mc::collect_final_executions(p, dopts), full_fps) << tag;
-      // DPOR visits a subset of the reachable states.
-      EXPECT_LE(dpor_out.stats.states, full_out.stats.states) << tag;
-      // Regression guards on the wakeup-tree engine. With exploration
-      // keyed on reads-from choices no execution may ever start only to
-      // die in the sleep filter — sleep_blocked is strictly zero on
-      // every generated program (the doomed-subtree stop closes the
-      // RMW-data-nondeterminism tail the classical no-blocking theorem
-      // does not cover). Transition counts are bounded within a small
-      // factor of stateless source-set DPOR rather than strictly:
-      // signature-keyed classes identify a write by its mo-insertion
-      // point *at execution time*, so two orderings reaching the same
-      // final execution can be distinct classes, and the engines' trace
-      // representatives share tree prefixes differently (strict bounds
-      // hold across the litmus catalogue; see tests/test_dpor.cpp).
-      if (mc::is_optimal_dpor(por) && small) {
-        mc::ExploreOptions sopts;
-        sopts.por = mc::PorMode::kSourceSets;
-        const auto src = mc::explore(p, sopts, {});
-        const auto opt = mc::explore(p, dopts, {});
-        EXPECT_LE(opt.stats.transitions,
-                  src.stats.transitions + src.stats.transitions / 4)
-            << tag;
-        EXPECT_EQ(opt.stats.sleep_blocked, 0u) << tag;
-      }
-    }
+    mc::ExploreOptions dopts;
+    dopts.por = mc::kDefaultPor;
+    const auto dpor_out = mc::enumerate_outcomes(p, dopts);
+    EXPECT_EQ(dpor_out.outcomes, full_out.outcomes) << tag;
+    EXPECT_EQ(mc::collect_final_executions(p, dopts), full_fps) << tag;
+    // DPOR visits a subset of the reachable states.
+    EXPECT_LE(dpor_out.stats.states, full_out.stats.states) << tag;
 
     // Race verdicts against the from-scratch oracle (NA seeds only:
     // atomic-only programs never race). The race query runs on the same
@@ -234,22 +204,15 @@ TEST(DporFuzz, DporAgreesWithFullExplorationOn200Programs) {
     if (o.allow_nonatomic) {
       const bool full_race_free = !testing::racy_by_oracle(p);
       EXPECT_EQ(mc::check_race_free(p).race_free, full_race_free) << tag;
-      for (const mc::PorMode por : {mc::kDefaultPor, mc::PorMode::kOptimal}) {
-        mc::ExploreOptions dopts;
-        dopts.por = por;
-        EXPECT_EQ(mc::check_race_free(p, dopts).race_free, full_race_free)
-            << tag;
-      }
+      EXPECT_EQ(mc::check_race_free(p, dopts).race_free, full_race_free)
+          << tag;
     }
 
-    // Work-stealing tree engines on a quarter of the seeds each
-    // (thread-pool setup dominates these tiny state spaces; agreement is
-    // what matters): source-DPOR+sleep on i % 4 == 0, optimal wakeup
-    // trees on i % 4 == 2.
+    // The work-stealing DPOR engine on every even seed (thread-pool setup
+    // dominates these tiny state spaces; agreement is what matters).
     if (i % 2 == 0) {
       mc::ParallelOptions popts;
-      popts.explore.por =
-          i % 4 == 0 ? mc::kDefaultPor : mc::PorMode::kOptimal;
+      popts.explore.por = mc::kDefaultPor;
       popts.workers = 4;
       EXPECT_EQ(mc::enumerate_outcomes_parallel(p, popts).outcomes,
                 full_out.outcomes)

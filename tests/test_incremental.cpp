@@ -393,7 +393,7 @@ void sc_candidate_walk(interp::Config& c, std::set<util::Fingerprint>& seen,
   const interp::StepOptions opts;
   std::vector<interp::Step> steps;
   c.has_sc = false;  // list the candidates the filter would see
-  interp::enumerate_steps_uncached(c, opts, steps);
+  interp::enumerate_steps(c, opts, steps);
   c.has_sc = true;
   c11::Execution::UndoToken tok;
   interp::StepUndo undo;
@@ -465,26 +465,23 @@ std::vector<interp::Step> steps_of(const std::vector<interp::Step>& steps,
   return out;
 }
 
-// Adversarial step-cache invalidation: three threads racing on two
-// variables, arranged so that a stale cached slice would be *wrong in
-// both directions* after another thread's step:
+// Enumeration across threads: three threads racing on two variables,
+// arranged so that another thread's step changes what a thread may do in
+// both directions:
 //
 //   thread 1 { x.swap(1); y := 1; }   (covers a write on x, then makes a
 //                                      new write observable on y)
-//   thread 2 { x := 2; }              (cached slice: placements on x)
-//   thread 3 { r0 := y; }             (cached slice: reads on y)
+//   thread 2 { x := 2; }              (write placements on x)
+//   thread 3 { r0 := y; }             (reads on y)
 //
-// Applying thread 1's update covers init(x): thread 2's cached write
-// placements still offer init(x) — serving them would fabricate a
-// transition that violates atomicity (a write slipped between an update
-// and the write it reads from). Applying thread 1's y := 1 then makes a
-// new write observable to thread 3: its cached read slice would *miss* a
-// transition. Neither thread 2 nor thread 3 is touched by either apply,
-// so eager dirty bits alone cannot catch this — only the per-variable
-// version counters can. The test asserts both recoveries, plus the
-// precise reuse/recompute split (the *untouched* variable's thread keeps
-// its slice: invalidation must be lazy but not indiscriminate).
-TEST(Incremental, StaleCacheCatchesCoveredAndNewlyObservableWrites) {
+// Applying thread 1's update covers init(x): thread 2 may no longer place
+// its write after init(x) — that would slip a write between an update and
+// the write it reads from. Applying thread 1's y := 1 then makes a new
+// write observable to thread 3, which gains a read. Neither thread 2 nor
+// thread 3 acts in between. At each point enumerate_steps must list
+// exactly the successors() transitions, and after unwinding the root
+// enumeration must match again.
+TEST(Incremental, EnumerationTracksCoveredAndNewlyObservableWrites) {
   const auto parsed = lang::parse_litmus(R"(litmus ADV
 var x = 0
 var y = 0
@@ -495,9 +492,20 @@ thread 3 { r0 := y; }
   interp::Config c = interp::initial_config(parsed.program);
   const interp::StepOptions opts;  // no tau compression: one step at a time
 
+  // enumerate_steps into `steps`, checked against the successors() oracle.
   std::vector<interp::Step> steps;
-  interp::enumerate_steps(c, opts, steps);
+  const auto enumerate = [&] {
+    interp::enumerate_steps(c, opts, steps);
+    const std::vector<interp::ConfigStep> oracle = interp::successors(c, opts);
+    ASSERT_EQ(steps.size(), oracle.size());
+    for (std::size_t i = 0; i < steps.size(); ++i) {
+      ASSERT_EQ(steps[i].thread, oracle[i].thread) << "step " << i;
+      ASSERT_EQ(steps[i].observed, oracle[i].observed) << "step " << i;
+    }
+  };
 
+  enumerate();
+  if (::testing::Test::HasFatalFailure()) return;
   // Root: thread 1 updates on top of init(x); thread 2 places its write
   // after init(x); thread 3 reads init(y).
   const auto t1_root = steps_of(steps, 1);
@@ -507,33 +515,21 @@ thread 3 { r0 := y; }
   ASSERT_EQ(steps_of(steps, 2)[0].observed, init_x);
   ASSERT_EQ(steps_of(steps, 3).size(), 1u);
 
-  // Apply thread 1's update. Thread 2's cached slice is now stale: the
-  // update covers init(x).
+  // Apply thread 1's update: it covers init(x).
   interp::StepUndo undo_upd;
   const c11::EventId upd_ev = interp::apply_step(c, t1_root[0], opts, undo_upd);
   ASSERT_NE(upd_ev, c11::kNoEvent);
 
-  const interp::StepEnumCounters before1 = interp::step_enum_counters();
-  interp::enumerate_steps(c, opts, steps);
-  const interp::StepEnumCounters after1 = interp::step_enum_counters();
-  {
-    std::vector<interp::Step> oracle;
-    interp::enumerate_steps_uncached(c, opts, oracle);
-    ASSERT_EQ(steps.size(), oracle.size());
-  }
-  // Thread 2 must have been re-enumerated (write version on x moved), and
-  // its only placement is after the update — init(x) is covered.
+  enumerate();
+  if (::testing::Test::HasFatalFailure()) return;
+  // Thread 2's only placement is now after the update — init(x) is
+  // covered.
   const auto t2_after_upd = steps_of(steps, 2);
   ASSERT_EQ(t2_after_upd.size(), 1u);
   EXPECT_EQ(t2_after_upd[0].observed, upd_ev);
-  // Thread 3 peeks y, untouched by the update: its slice was reused.
-  // Recomputed: thread 1 (eager dirty bit) + thread 2 (version-stale).
-  EXPECT_EQ(after1.recomputed - before1.recomputed, 2u);
-  EXPECT_EQ(after1.reused - before1.reused, 1u);
 
   // Walk thread 1 through its silent steps (no tau compression here)
-  // until its y := 1 write is at the head. Silent applies dirty only
-  // thread 1, so threads 2 and 3 keep their slices across this stretch.
+  // until its y := 1 write is at the head.
   std::vector<std::unique_ptr<interp::StepUndo>> silent_undos;
   auto t1_wr = steps_of(steps, 1);
   while (!t1_wr.empty() && t1_wr[0].silent) {
@@ -549,37 +545,22 @@ thread 3 { r0 := y; }
   const c11::EventId wr_ev = interp::apply_step(c, t1_wr[0], opts, undo_wr);
   ASSERT_NE(wr_ev, c11::kNoEvent);
 
-  const interp::StepEnumCounters before2 = interp::step_enum_counters();
-  interp::enumerate_steps(c, opts, steps);
-  const interp::StepEnumCounters after2 = interp::step_enum_counters();
-  {
-    std::vector<interp::Step> oracle;
-    interp::enumerate_steps_uncached(c, opts, oracle);
-    ASSERT_EQ(steps.size(), oracle.size());
-  }
-  // Thread 3 now has two reads (init(y) and the new write) — a stale
-  // slice would have kept one.
+  enumerate();
+  if (::testing::Test::HasFatalFailure()) return;
+  // Thread 3 now has two reads: init(y) and the new write.
   const auto t3_after_wr = steps_of(steps, 3);
   ASSERT_EQ(t3_after_wr.size(), 2u);
   EXPECT_TRUE(t3_after_wr[0].observed == wr_ev ||
               t3_after_wr[1].observed == wr_ev);
-  // Thread 2 peeks x, untouched by the y-write: reused. Recomputed:
-  // thread 1 (eager) + thread 3 (version-stale).
-  EXPECT_EQ(after2.recomputed - before2.recomputed, 2u);
-  EXPECT_EQ(after2.reused - before2.reused, 1u);
 
-  // Unwind and re-check: pops rewind nothing silently — the version
-  // streams advance monotonically, so the entries minted above are stale
-  // again and the root enumeration matches the oracle.
+  // Unwind: the root enumeration matches the oracle again.
   interp::undo_step(c, undo_wr);
   for (auto it = silent_undos.rbegin(); it != silent_undos.rend(); ++it) {
     interp::undo_step(c, **it);
   }
   interp::undo_step(c, undo_upd);
-  interp::enumerate_steps(c, opts, steps);
-  std::vector<interp::Step> oracle;
-  interp::enumerate_steps_uncached(c, opts, oracle);
-  ASSERT_EQ(steps.size(), oracle.size());
+  enumerate();
+  if (::testing::Test::HasFatalFailure()) return;
   ASSERT_EQ(steps_of(steps, 2).size(), 1u);
   EXPECT_EQ(steps_of(steps, 2)[0].observed, init_x);
   EXPECT_EQ(steps_of(steps, 3).size(), 1u);

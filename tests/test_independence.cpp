@@ -7,8 +7,12 @@
 // validation (every POR mode vs. full enumeration) lives in
 // tests/test_dpor.cpp and tests/test_conformance.cpp; these tests pin
 // the individual clauses so a regression names the exact rule it broke.
+// Also pinned here: the weak initials race reversal schedules from, and
+// the frame independence of the canonical event ids that name a step's
+// observed write in its signature.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <vector>
 
 #include "interp/config.hpp"
@@ -170,6 +174,82 @@ TEST(Independence, SigsOfTagsSignaturesWhenProgramHasScFence) {
   // The same steps without the flag: untagged.
   sigs_of(steps, c.exec, sigs);
   for (const StepSig& s : sigs) EXPECT_FALSE(s.sc_coupled);
+}
+
+// --- Weak initials (race reversal in dpor.cpp) -------------------------------
+
+TEST(Independence, WeakInitialIndices) {
+  // v = [t1 wr x, t2 wr y, t3 wr x]: t1 and t2 are weak initials; t3's
+  // write of x has the dependent predecessor t1.
+  const StepSig v[] = {access(1, ActionKind::kWrX, 0),
+                       access(2, ActionKind::kWrX, 1),
+                       access(3, ActionKind::kWrX, 0)};
+  std::vector<std::size_t> wi;
+  weak_initial_indices(
+      std::size(v), [&](std::size_t j) -> const StepSig& { return v[j]; }, wi);
+  EXPECT_EQ(wi, (std::vector<std::size_t>{0, 1}));
+}
+
+// --- Canonical event identity ------------------------------------------------
+
+TEST(CanonicalEvents, FrameIndependence) {
+  // Two threads writing distinct variables: appending in either order
+  // yields different tags but identical canonical ids.
+  const lang::ParsedLitmus parsed = lang::parse_litmus(
+      "litmus w2\n"
+      "var x = 0\n"
+      "var y = 0\n"
+      "thread 1 { x := 1; }\n"
+      "thread 2 { y := 1; }\n");
+  const interp::StepOptions opts;
+  // Applies thread `first`'s step, then the other thread's.
+  const auto run = [&](c11::ThreadId first) {
+    interp::Config c = interp::initial_config(parsed.program);
+    std::vector<interp::Step> steps;
+    for (const c11::ThreadId t : {first, 3 - first}) {
+      interp::enumerate_steps(c, opts, steps);
+      for (const interp::Step& s : steps) {
+        if (s.thread == t && !s.silent) {
+          (void)interp::apply_step(c, s, opts);
+          break;
+        }
+      }
+    }
+    return c;
+  };
+  const interp::Config c1 = run(1);
+  const interp::Config c2 = run(2);
+  const auto find_write = [](const interp::Config& c, c11::VarId var) {
+    for (c11::EventId e = 0; e < c.exec.size(); ++e) {
+      if (!c.exec.event(e).is_init() && c.exec.event(e).is_write() &&
+          c.exec.event(e).var() == var) {
+        return e;
+      }
+    }
+    return c11::kNoEvent;
+  };
+  const c11::EventId w1 = find_write(c1, 0);
+  const c11::EventId w2 = find_write(c2, 0);
+  ASSERT_NE(w1, c11::kNoEvent);
+  ASSERT_NE(w2, c11::kNoEvent);
+  // Tags shift with the interleaving; canonical ids don't.
+  EXPECT_NE(w1, w2);
+  EXPECT_EQ(interp::canonical_event_ids(c1.exec)[w1],
+            interp::canonical_event_ids(c2.exec)[w2]);
+}
+
+TEST(CanonicalEvents, SentinelIsNoRealEvent) {
+  // The "no observed write" sentinel must never equal a real canonical
+  // id — in particular not {0, 0}, the initialising write of variable 0.
+  const lang::ParsedLitmus parsed = lang::parse_litmus(
+      "litmus w1\n"
+      "var x = 0\n"
+      "thread 1 { x := 1; }\n");
+  const interp::Config c = interp::initial_config(parsed.program);
+  for (const interp::CanonicalEventId& cid :
+       interp::canonical_event_ids(c.exec)) {
+    EXPECT_NE(cid, kNoCanonicalObserved);
+  }
 }
 
 }  // namespace

@@ -81,6 +81,21 @@ TEST(Explorer, OnTransitionSeesEveryEdge) {
   EXPECT_GE(transitions, 4u);
 }
 
+TEST(Explorer, PorModeNamesRoundTripAndRetiredNamesAreRejected) {
+  // The CLI's --por values: exactly the three modes, each name mapping
+  // back to its mode.
+  for (const PorMode m :
+       {PorMode::kNone, PorMode::kSleepSets, PorMode::kSourceSetsSleep}) {
+    EXPECT_EQ(por_mode_from_name(por_mode_name(m)), m) << por_mode_name(m);
+  }
+  EXPECT_STREQ(por_mode_name(PorMode::kNone), "none");
+  EXPECT_STREQ(por_mode_name(PorMode::kSleepSets), "sleep");
+  EXPECT_STREQ(por_mode_name(kDefaultPor), "source-sleep");
+  for (const char* retired : {"source", "optimal", "optimal-parsimonious"}) {
+    EXPECT_FALSE(por_mode_from_name(retired).has_value()) << retired;
+  }
+}
+
 TEST(Checker, InvariantHoldsTrivially) {
   const InvariantResult r = check_invariant(
       two_writers(), [](const interp::Config&) { return true; });

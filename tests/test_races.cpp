@@ -158,9 +158,7 @@ thread 2 { r0 := f@A; r1 := x@NA; }
 thread 3 { x :=NA 2; }
 )");
   for (const mc::PorMode por :
-       {mc::PorMode::kNone, mc::PorMode::kSleepSets, mc::PorMode::kSourceSets,
-        mc::PorMode::kSourceSetsSleep, mc::PorMode::kOptimal,
-        mc::PorMode::kOptimalParsimonious}) {
+       {mc::PorMode::kNone, mc::PorMode::kSleepSets, mc::kDefaultPor}) {
     const char* mode = mc::por_mode_name(por);
     std::size_t racy_states = 0;
     mc::Visitor v;

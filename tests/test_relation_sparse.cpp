@@ -342,17 +342,14 @@ TEST(RelationSparse, LitmusCatalogueAgreesUnderForcedSparse) {
     const lang::ParsedLitmus parsed = lang::parse_litmus(t.source);
 
     mc::ExploreOptions dpor;
-    dpor.por = mc::PorMode::kSourceSetsSleep;
-    mc::ExploreOptions optimal;
-    optimal.por = mc::PorMode::kOptimalParsimonious;
+    dpor.por = mc::kDefaultPor;
 
     std::set<util::Fingerprint> fps_default;
     std::set<mc::Outcome> outs_default;
     bool verdict_default = false;
     {
       fps_default = mc::collect_final_executions(parsed.program, dpor);
-      outs_default =
-          mc::enumerate_outcomes(parsed.program, optimal).outcomes;
+      outs_default = mc::enumerate_outcomes(parsed.program, dpor).outcomes;
       verdict_default =
           mc::check_reachable(parsed.program, parsed.condition, dpor)
               .reachable;
@@ -362,7 +359,7 @@ TEST(RelationSparse, LitmusCatalogueAgreesUnderForcedSparse) {
     EXPECT_EQ(mc::collect_final_executions(parsed.program, dpor),
               fps_default)
         << t.name << ": final fingerprints diverge under forced sparse";
-    EXPECT_EQ(mc::enumerate_outcomes(parsed.program, optimal).outcomes,
+    EXPECT_EQ(mc::enumerate_outcomes(parsed.program, dpor).outcomes,
               outs_default)
         << t.name << ": outcomes diverge under forced sparse";
     EXPECT_EQ(

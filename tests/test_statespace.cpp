@@ -15,8 +15,6 @@
 #include "lang/parser.hpp"
 #include "litmus/catalog.hpp"
 #include "mc/checker.hpp"
-#include "mc/dpor.hpp"
-#include "mc/optimal.hpp"
 #include "mc/parallel.hpp"
 #include "util/fingerprint.hpp"
 #include "vcgen/peterson.hpp"
@@ -287,6 +285,24 @@ thread 2 { y := 1; y := 2; }
   EXPECT_EQ(processed, r.stats.states);
 }
 
+TEST(ParallelTraces, DporQueriesReportOneWorkerStatsPerWorker) {
+  // Under DPOR the parallel queries run dpor.cpp's engine, which fills
+  // ParallelRunInfo with one WorkerStats slab per worker.
+  const auto parsed =
+      lang::parse_litmus(litmus::find_test("IRIW_ra").source);
+  for (std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
+    ParallelOptions popts;
+    popts.explore.por = kDefaultPor;
+    popts.workers = workers;
+    ParallelRunInfo info;
+    (void)enumerate_outcomes_parallel(parsed.program, popts, &info);
+    ASSERT_EQ(info.workers.size(), workers);
+    std::size_t processed = 0;
+    for (const auto& w : info.workers) processed += w.processed;
+    EXPECT_GT(processed, 0u);
+  }
+}
+
 // --- Sleep-set partial-order reduction ----------------------------------------
 
 TEST(SleepSets, PreserveInvariantVerdictOnPeterson) {
@@ -432,8 +448,6 @@ TEST(Stats, MergeAddsCountersMaxesDepthOrsTruncated) {
   a.sleep_blocked = 5;
   a.complete_traces = 6;
   a.redundant_transitions = 7;
-  a.enum_threads_reused = 8;
-  a.enum_threads_recomputed = 9;
 
   ExploreStats b;
   b.states = 100;
@@ -447,8 +461,6 @@ TEST(Stats, MergeAddsCountersMaxesDepthOrsTruncated) {
   b.sleep_blocked = 50;
   b.complete_traces = 60;
   b.redundant_transitions = 70;
-  b.enum_threads_reused = 80;
-  b.enum_threads_recomputed = 90;
   b.truncated = true;
 
   a += b;
@@ -463,8 +475,6 @@ TEST(Stats, MergeAddsCountersMaxesDepthOrsTruncated) {
   EXPECT_EQ(a.sleep_blocked, 55u);
   EXPECT_EQ(a.complete_traces, 66u);
   EXPECT_EQ(a.redundant_transitions, 77u);
-  EXPECT_EQ(a.enum_threads_reused, 88u);
-  EXPECT_EQ(a.enum_threads_recomputed, 99u);
   EXPECT_TRUE(a.truncated);  // ORed in
 
   // Merging a default-constructed ExploreStats is the identity.
@@ -473,66 +483,6 @@ TEST(Stats, MergeAddsCountersMaxesDepthOrsTruncated) {
   EXPECT_EQ(a.states, snapshot.states);
   EXPECT_EQ(a.max_depth, snapshot.max_depth);
   EXPECT_EQ(a.truncated, snapshot.truncated);
-}
-
-// --- Per-worker enum-counter attribution ---------------------------------------
-
-// The thread_local interp step-cache counters are flushed into the owning
-// worker's slab, so the reused/recomputed split survives steal handoffs.
-// Pin: sum over WorkerStats == the engine's ExploreStats totals, and the
-// counters actually fire on catalogue-sized programs.
-void expect_worker_enum_split(const std::vector<WorkerStats>& ws,
-                              const ExploreStats& stats, const char* what) {
-  std::size_t w_reused = 0, w_recomputed = 0;
-  for (const WorkerStats& w : ws) {
-    w_reused += w.enum_reused;
-    w_recomputed += w.enum_recomputed;
-  }
-  EXPECT_EQ(w_reused, stats.enum_threads_reused) << what;
-  EXPECT_EQ(w_recomputed, stats.enum_threads_recomputed) << what;
-  EXPECT_GT(w_reused + w_recomputed, 0u) << what;
-}
-
-TEST(WorkerEnumCounters, DporSplitSumsToEngineTotals) {
-  const auto parsed =
-      lang::parse_litmus(litmus::find_test("IRIW_ra").source);
-  for (std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
-    ExploreOptions opts;
-    opts.por = PorMode::kSourceSets;
-    std::vector<WorkerStats> ws;
-    const auto r = explore_dpor(interp::initial_config(parsed.program),
-                                opts, {}, workers, &ws);
-    ASSERT_EQ(ws.size(), workers);
-    expect_worker_enum_split(ws, r.stats, "dpor");
-  }
-}
-
-TEST(WorkerEnumCounters, OptimalSplitSumsToEngineTotals) {
-  const auto parsed =
-      lang::parse_litmus(litmus::find_test("IRIW_ra").source);
-  for (std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
-    ExploreOptions opts;
-    opts.por = PorMode::kOptimal;
-    std::vector<WorkerStats> ws;
-    const auto r = explore_optimal(interp::initial_config(parsed.program),
-                                   opts, {}, workers, &ws);
-    ASSERT_EQ(ws.size(), workers);
-    expect_worker_enum_split(ws, r.stats, "optimal");
-  }
-}
-
-TEST(WorkerEnumCounters, ParallelExplorerSplitSumsToEngineTotals) {
-  const auto parsed =
-      lang::parse_litmus(litmus::find_test("IRIW_ra").source);
-  for (std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
-    ParallelOptions popts;
-    popts.workers = workers;
-    ParallelRunInfo info;
-    const auto r =
-        enumerate_outcomes_parallel(parsed.program, popts, &info);
-    ASSERT_EQ(info.workers.size(), workers);
-    expect_worker_enum_split(info.workers, r.stats, "parallel");
-  }
 }
 
 }  // namespace

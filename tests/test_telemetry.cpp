@@ -227,8 +227,7 @@ TEST(PhaseProfile, ArithmeticAndToString) {
 TEST(Telemetry, ExplorerAttachesPhaseProfile) {
   const auto parsed =
       lang::parse_litmus(litmus::find_test("SB").source);
-  for (mc::PorMode por :
-       {mc::PorMode::kNone, mc::PorMode::kOptimal}) {
+  for (mc::PorMode por : {mc::PorMode::kNone, mc::kDefaultPor}) {
     Telemetry tel;
     mc::ExploreOptions opts;
     opts.por = por;
@@ -281,7 +280,7 @@ TEST(ChromeTrace, StructurallyValidTimeline) {
   topts.trace_capacity = 1 << 12;
   Telemetry tel(topts);
   mc::ExploreOptions opts;
-  opts.por = mc::PorMode::kOptimal;
+  opts.por = mc::kDefaultPor;
   opts.telemetry = &tel;
   (void)mc::explore(parsed.program, opts, {});
 

@@ -49,16 +49,6 @@ import tempfile
 DEFAULT_GATES = [
     "states_per_sec",
     "peak_seen_bytes:lower",
-    # Step-enumeration cache efficacy (interp::enumerate_steps). Both
-    # counters are deterministic for the sequential engines, so unlike the
-    # throughput gates these fire on *behavioural* drift: reused dropping
-    # or recomputed growing means the cache stopped paying for itself
-    # (an over-eager invalidation, a version counter bumped on the wrong
-    # stream), long before the wall-clock gate could notice on a noisy
-    # host. Thresholds still apply — intentional exploration-shape changes
-    # move both counters and land with a baseline refresh.
-    "enum_threads_reused",
-    "enum_threads_recomputed:lower",
     # Phase-share drift bands (obs::PhaseProfile, embedded by the bench
     # binaries as phase_share_*). The README's cost profile — push_event
     # and Config copy/apply dominating DPOR node cost — is pinned here:
@@ -179,80 +169,34 @@ def self_test() -> int:
                                  "peak_seen_bytes": 900000.0},
         }, 0, 2),  # skipped by both gates
     ]
-    # Deterministic step-enumeration cache counters: reused is gated
-    # higher-is-better, recomputed lower-is-better. These fixtures pin the
-    # gate *directions* — a flipped sign would silently wave regressions
-    # through.
-    counter_baseline = {
-        "catalog/2/source": {"enum_threads_reused": 14000.0,
-                             "enum_threads_recomputed": 6000.0},
-    }
-    counter_cases = [
-        ("counters-ok", {
-            "catalog/2/source": {"enum_threads_reused": 14000.0,
-                                 "enum_threads_recomputed": 6000.0},
-        }, 0),
-        # The cache reusing far fewer slices is a regression even when
-        # wall-clock noise hides it.
-        ("cache-efficacy-regression", {
-            "catalog/2/source": {"enum_threads_reused": 8000.0,
-                                 "enum_threads_recomputed": 6000.0},
-        }, 1),
-        # Over-eager invalidation shows up as recomputed growth.
-        ("over-eager-invalidation", {
-            "catalog/2/source": {"enum_threads_reused": 14000.0,
-                                 "enum_threads_recomputed": 7500.0},
-        }, 1),
-        # Recomputed *shrinking* (a better cache) must not trip the
-        # lower-is-better gate.
-        ("cache-improvement", {
-            "catalog/2/source": {"enum_threads_reused": 15000.0,
-                                 "enum_threads_recomputed": 3000.0},
-        }, 0),
-    ]
     # Phase-share band gates: absolute two-sided drift detection. These
     # fixtures pin (a) that both directions of drift fail, (b) that the
     # band is absolute — a 2x ratio on a tiny share stays inside it, and
     # (c) that in-band wobble passes.
-    band_baseline = {
-        "por_litmus_catalog/4/optimal": {"phase_share_push_event": 0.26,
-                                         "phase_share_apply": 0.39,
-                                         "phase_share_enumerate": 0.05},
-    }
+    band_series = "por_litmus_catalog/2/source-sleep"
+
+    def shares(push_event, apply, enumerate_):
+        return {band_series: {"phase_share_push_event": push_event,
+                              "phase_share_apply": apply,
+                              "phase_share_enumerate": enumerate_}}
+
+    band_baseline = shares(0.26, 0.39, 0.05)
     band_cases = [
-        ("band-ok", {
-            "por_litmus_catalog/4/optimal": {"phase_share_push_event": 0.31,
-                                             "phase_share_apply": 0.33,
-                                             "phase_share_enumerate": 0.10},
-        }, 0),
+        ("band-ok", shares(0.31, 0.33, 0.10), 0),
         # push_event exploding past the band fails (upward drift).
-        ("band-upward-drift", {
-            "por_litmus_catalog/4/optimal": {"phase_share_push_event": 0.55,
-                                             "phase_share_apply": 0.39,
-                                             "phase_share_enumerate": 0.05},
-        }, 1),
+        ("band-upward-drift", shares(0.55, 0.39, 0.05), 1),
         # apply collapsing fails too — a band gate is two-sided, unlike
         # the ratio gates above.
-        ("band-downward-drift", {
-            "por_litmus_catalog/4/optimal": {"phase_share_push_event": 0.26,
-                                             "phase_share_apply": 0.10,
-                                             "phase_share_enumerate": 0.05},
-        }, 1),
+        ("band-downward-drift", shares(0.26, 0.10, 0.05), 1),
         # A 2x ratio on a small share stays within the absolute band: the
         # gate must not inherit the ratio gates' near-zero pathology.
-        ("band-small-share-ratio-noise", {
-            "por_litmus_catalog/4/optimal": {"phase_share_push_event": 0.26,
-                                             "phase_share_apply": 0.39,
-                                             "phase_share_enumerate": 0.11},
-        }, 0),
+        ("band-small-share-ratio-noise", shares(0.26, 0.39, 0.11), 0),
     ]
 
     ok = True
     sink = tempfile.TemporaryFile(mode="w+")
     all_cases = (
         [(n, cur, baseline, *rest) for (n, cur, *rest) in cases] +
-        [(n, cur, counter_baseline, *rest) for (n, cur, *rest) in
-         counter_cases] +
         [(n, cur, band_baseline, *rest) for (n, cur, *rest) in band_cases])
     for name, current, case_baseline, expect, *rest in all_cases:
         expect_skipped = rest[0] if rest else 0
