@@ -340,7 +340,8 @@ FactHash event_fact(std::uint64_t cid, const Action& a) {
               static_cast<std::uint64_t>(a.wval));
 }
 
-/// Thread-local scratch sets so push_event allocates nothing once warm.
+/// Thread-local scratch sets so push_event and push_delta allocate nothing
+/// once warm.
 struct Scratch {
   util::Bitset before, after, readers, hbcol, rel, din, ecocol, ecorow,
       ecohb, new_ew, reach, reach_hb;
@@ -349,6 +350,13 @@ struct Scratch {
 Scratch& scratch() {
   thread_local Scratch s;
   return s;
+}
+
+void mix_fingerprint(util::FingerprintHasher& h, std::size_t events,
+                     std::uint64_t a, std::uint64_t b) {
+  h.mix(events);
+  h.mix(a);
+  h.mix(b);
 }
 
 }  // namespace
@@ -407,9 +415,14 @@ void Execution::fingerprint_into(util::FingerprintHasher& h) const {
   } else {
     compute_fp_lanes(a, b);
   }
-  h.mix(events_.size());
-  h.mix(a);
-  h.mix(b);
+  mix_fingerprint(h, events_.size(), a, b);
+}
+
+void Execution::fingerprint_into(util::FingerprintHasher& h,
+                                 const LaneDelta& pending) const {
+  assert(cache_.valid);
+  mix_fingerprint(h, events_.size() + 1, cache_.fp_a + pending.a,
+                  cache_.fp_b + pending.b);
 }
 
 util::Fingerprint Execution::fingerprint() const {
@@ -423,9 +436,7 @@ util::Fingerprint Execution::fingerprint_uncached() const {
   std::uint64_t b = 0;
   compute_fp_lanes(a, b);
   util::FingerprintHasher h;
-  h.mix(events_.size());
-  h.mix(a);
-  h.mix(b);
+  mix_fingerprint(h, events_.size(), a, b);
   return h.finish();
 }
 
@@ -508,6 +519,62 @@ void Execution::reserve_cache_threads(ThreadId count) {
   }
 }
 
+Execution::PushPlan Execution::plan_push(ThreadId tid, const Action& a,
+                                         EventId w,
+                                         util::Bitset& before) const {
+  assert(cache_.valid);
+  const Cache& c = cache_;
+  const std::size_t n_old = events_.size();
+  PushPlan plan;
+  // tid's latest event: the sb side of e's hb column (push_event) and the
+  // anchor of e's canonical id, one sb-position past it.
+  const std::size_t latest =
+      tid < c.thread_events.size() ? c.thread_events[tid].last() : n_old;
+  plan.last = latest < n_old ? static_cast<EventId>(latest) : kNoEvent;
+  const std::uint64_t seq =
+      plan.last == kNoEvent ? 0 : (c.cid[plan.last] & 0xffffffffull) + 1;
+  plan.cid = (static_cast<std::uint64_t>(tid) << 32) | seq;
+
+  const VarId x = a.var;
+  // Fences observe nothing: no mo neighbourhood, no rf edge.
+  assert(a.is_fence() ? w == kNoEvent
+                      : w < n_old && events_[w].is_write() &&
+                            events_[w].var() == x);
+  before.resize(n_old);
+  before.clear();
+  if (a.is_write()) {
+    // mo+w = {w} u mo^-1[w]; mo is per-variable, so scan only x's writes
+    // (audited column scan: bounded by |writes of x|, not the universe —
+    // cheaper than maintaining a full inverse mirror on mo).
+    if (x < c.var_writes.size()) {
+      c.var_writes[x].for_each([&](std::size_t p) {
+        if (mo_.contains(p, w)) before.set(p);
+      });
+    }
+    before.set(w);
+  }
+
+  // The new facts: the event, its rf edge, its mo edges both ways.
+  const auto add_fact = [&](const FactHash& f) {
+    plan.delta.a += f.a;
+    plan.delta.b += f.b;
+  };
+  add_fact(event_fact(plan.cid, a));
+  if (a.is_read()) add_fact(fact(kRfTag, c.cid[w], plan.cid));
+  if (a.is_write()) {
+    before.for_each(
+        [&](std::size_t p) { add_fact(fact(kMoTag, c.cid[p], plan.cid)); });
+    mo_.row(w).for_each(
+        [&](std::size_t q) { add_fact(fact(kMoTag, plan.cid, c.cid[q])); });
+  }
+  return plan;
+}
+
+Execution::LaneDelta Execution::push_delta(ThreadId tid, const Action& a,
+                                           EventId w) const {
+  return plan_push(tid, a, w, scratch().before).delta;
+}
+
 EventId Execution::push_event(ThreadId tid, const Action& a, EventId w,
                               UndoToken& tok) {
   assert(tid != kInitThread);
@@ -516,20 +583,6 @@ EventId Execution::push_event(ThreadId tid, const Action& a, EventId w,
   Scratch& s = scratch();
   const std::size_t n_old = events_.size();
   const std::size_t n = n_old + 1;
-  // tid's latest event: the sb side of e's hb column (below).
-  const std::size_t latest =
-      tid < c.thread_events.size() ? c.thread_events[tid].last() : n_old;
-  const EventId last =
-      latest < n_old ? static_cast<EventId>(latest) : kNoEvent;
-
-  tok.tid = tid;
-  tok.observed = w;
-  tok.prev_max_thread = max_thread_;
-  tok.prev_var_count = static_cast<std::uint32_t>(var_count_);
-  tok.prev_thread_vec = static_cast<std::uint32_t>(c.thread_events.size());
-  tok.covered_added = false;
-  tok.fp_delta_a = 0;
-  tok.fp_delta_b = 0;
 
   const bool is_rd = a.is_read();
   const bool is_wr = a.is_write();
@@ -537,67 +590,42 @@ EventId Execution::push_event(ThreadId tid, const Action& a, EventId w,
   const VarId x = a.var;
 
   // --- Snapshots over the old universe (pre-append) -----------------------
+  const PushPlan plan = plan_push(tid, a, w, s.before);
+  const EventId last = plan.last;
   if (is_fence) {
-    // Fences observe nothing: no mo neighbourhood, no rf edge.
-    assert(w == kNoEvent);
     s.after.resize(n_old);
     s.after.clear();
   } else {
-    assert(w < n_old && events_[w].is_write() && events_[w].var() == x);
     s.after = mo_.row(w);  // mo[w] — also the fr successors of a read of w
   }
-  s.before.resize(n_old);
-  s.before.clear();
+
+  tok.tid = tid;
+  tok.observed = w;
+  tok.prev_max_thread = max_thread_;
+  tok.prev_var_count = static_cast<std::uint32_t>(var_count_);
+  tok.prev_thread_vec = static_cast<std::uint32_t>(c.thread_events.size());
+  tok.covered_added = false;
+  tok.fp_delta = plan.delta;
+
   s.readers.resize(n_old);
   s.readers.clear();
   if (is_wr) {
-    // mo+w = {w} u mo^-1[w]; mo is per-variable, so scan only x's writes
-    // (audited column scan: bounded by |writes of x|, not the universe —
-    // cheaper than maintaining a full inverse mirror on mo).
-    if (x < c.var_writes.size()) {
-      c.var_writes[x].for_each([&](std::size_t p) {
-        if (mo_.contains(p, w)) s.before.set(p);
-      });
-    }
-    s.before.set(w);
     // New fr in-edges: every read of a write mo-before e reads-before e.
     s.before.for_each([&](std::size_t p) { s.readers |= rf_.row(p); });
   }
 
-  // Canonical id: position of e within its thread, one past its latest.
-  const std::uint64_t seq =
-      last == kNoEvent ? 0 : (c.cid[last] & 0xffffffffull) + 1;
-  const std::uint64_t cid_e = (static_cast<std::uint64_t>(tid) << 32) | seq;
-
   // --- Core append + primitive edges --------------------------------------
   const EventId e = append_event_core(tid, a);
-
-  std::uint64_t da = 0;
-  std::uint64_t db = 0;
-  const auto add_fact = [&](const FactHash& f) {
-    da += f.a;
-    db += f.b;
-  };
-  add_fact(event_fact(cid_e, a));
-  if (is_rd) {
-    rf_.add(w, e);
-    add_fact(fact(kRfTag, c.cid[w], cid_e));
-  }
+  if (is_rd) rf_.add(w, e);
   if (is_wr) {
-    s.before.for_each([&](std::size_t p) {
-      mo_.add(static_cast<EventId>(p), e);
-      add_fact(fact(kMoTag, c.cid[p], cid_e));
-    });
-    s.after.for_each([&](std::size_t q) {
-      mo_.add(e, static_cast<EventId>(q));
-      add_fact(fact(kMoTag, cid_e, c.cid[q]));
-    });
+    s.before.for_each(
+        [&](std::size_t p) { mo_.add(static_cast<EventId>(p), e); });
+    s.after.for_each(
+        [&](std::size_t q) { mo_.add(e, static_cast<EventId>(q)); });
   }
-  c.cid.push_back(cid_e);
-  c.fp_a += da;
-  c.fp_b += db;
-  tok.fp_delta_a = da;
-  tok.fp_delta_b = db;
+  c.cid.push_back(plan.cid);
+  c.fp_a += plan.delta.a;
+  c.fp_b += plan.delta.b;
 
   // --- Resize the cached state to the new universe -------------------------
   c.hb.resize(n);
@@ -765,8 +793,8 @@ void Execution::pop_event(const UndoToken& tok) {
   const EventId e = tok.event;
   const Action a = events_[e].action;
 
-  c.fp_a -= tok.fp_delta_a;
-  c.fp_b -= tok.fp_delta_b;
+  c.fp_a -= tok.fp_delta.a;
+  c.fp_b -= tok.fp_delta.b;
   if (tok.covered_added) c.covered.reset(tok.observed);
   c.encountered[tok.tid].subtract(tok.ew_delta);
 

@@ -103,6 +103,19 @@ class Execution {
   // covered_writes, fingerprint_uncached) remain the oracle; the
   // incremental cache is differentially tested against them after every
   // step (tests/test_incremental.cpp).
+  //
+  // The fingerprint lanes a push adds depend only on the pre-state and the
+  // step (the new event's canonical id, its rf source and its mo
+  // neighbours), so push_delta computes them without mutating anything:
+  // a deduplicating explorer fingerprints a successor before its push and
+  // skips the push (and the pop) when the seen set already holds the
+  // state. push_event sums its own facts through the same code.
+
+  /// What one push adds to the two fingerprint lanes.
+  struct LaneDelta {
+    std::uint64_t a = 0;
+    std::uint64_t b = 0;
+  };
 
   /// Undo record for one push_event. Opaque to callers; tokens must be
   /// popped in LIFO order. Reusable across push/pop cycles (its buffers
@@ -116,8 +129,7 @@ class Execution {
     std::uint32_t prev_thread_vec = 0;  ///< cache thread-vector length before
     bool covered_added = false;
     util::Bitset ew_delta;  ///< bits added to encountered[tid] (universe n)
-    std::uint64_t fp_delta_a = 0;
-    std::uint64_t fp_delta_b = 0;
+    LaneDelta fp_delta;
   };
 
   /// Appends event (tid, a) observing write `w` and adds its rf/mo edges:
@@ -132,6 +144,12 @@ class Execution {
 
   /// Exact inverse of the matching push_event (LIFO).
   void pop_event(const UndoToken& tok);
+
+  /// The lane delta push_event(tid, a, w, ...) would add, computed without
+  /// mutating anything. Same premises as push_event, and the cache must be
+  /// valid (it is after any cached query, such as step enumeration).
+  [[nodiscard]] LaneDelta push_delta(ThreadId tid, const Action& a,
+                                     EventId w) const;
 
   /// Builds the incremental cache from the from-scratch oracles if it is
   /// not already valid. Cheap no-op when valid.
@@ -266,6 +284,12 @@ class Execution {
   /// counts) on top.
   void fingerprint_into(util::FingerprintHasher& h) const;
 
+  /// As fingerprint_into, for the execution one push_event with lane delta
+  /// `pending` (push_delta) would leave: one more event, lanes plus the
+  /// delta. Requires a valid cache.
+  void fingerprint_into(util::FingerprintHasher& h,
+                        const LaneDelta& pending) const;
+
   /// Structural equality on raw tags (not canonical). sb is derived from
   /// the event sequence, so comparing the events covers it.
   [[nodiscard]] bool operator==(const Execution& o) const {
@@ -278,6 +302,22 @@ class Execution {
   EventId append_event_core(ThreadId tid, const Action& a);
 
   void invalidate_cache() { cache_.valid = false; }
+
+  /// What a push of (tid, a) observing w is determined by before it
+  /// happens: tid's latest event, the new event's canonical id and the
+  /// lane delta of its facts.
+  struct PushPlan {
+    EventId last = kNoEvent;
+    std::uint64_t cid = 0;
+    LaneDelta delta;
+  };
+
+  /// Plans a push over the current universe (valid cache required) and
+  /// fills `before` = mo+w = {w} u mo^-1[w], the writes the new event
+  /// follows in mo (left empty unless `a` writes). The one definition of a
+  /// push's facts: push_delta and push_event both call it.
+  PushPlan plan_push(ThreadId tid, const Action& a, EventId w,
+                     util::Bitset& before) const;
 
   /// From-scratch fingerprint lanes (the commutative fact sums).
   void compute_fp_lanes(std::uint64_t& a, std::uint64_t& b) const;

@@ -34,18 +34,38 @@ std::string Config::canonical_key() const {
   return os.str();
 }
 
+namespace {
+
+/// The thread state's share of the fingerprint, hashed on top of the
+/// execution's material: continuations, registers, unfold counts.
+util::Fingerprint finish_with_threads(const Config& c,
+                                      util::FingerprintHasher& h) {
+  h.mix(c.cont.size());
+  for (std::size_t i = 0; i < c.cont.size(); ++i) {
+    h.mix(lang::structural_hash(c.cont[i]));
+    h.mix(c.regs[i].size());
+    for (Value v : c.regs[i]) h.mix_signed(v);
+    h.mix(static_cast<std::uint64_t>(c.unfoldings[i]));
+  }
+  return h.finish();
+}
+
+}  // namespace
+
 util::Fingerprint Config::fingerprint() const {
   obs::ScopedPhase fp_phase(obs::Phase::kFingerprint);
   util::FingerprintHasher h;
   exec.fingerprint_into(h);
-  h.mix(cont.size());
-  for (std::size_t i = 0; i < cont.size(); ++i) {
-    h.mix(lang::structural_hash(cont[i]));
-    h.mix(regs[i].size());
-    for (Value v : regs[i]) h.mix_signed(v);
-    h.mix(static_cast<std::uint64_t>(unfoldings[i]));
-  }
-  return h.finish();
+  return finish_with_threads(*this, h);
+}
+
+util::Fingerprint pending_fingerprint(const Config& c, const Step& s) {
+  if (s.silent) return c.fingerprint();
+  obs::ScopedPhase fp_phase(obs::Phase::kFingerprint);
+  util::FingerprintHasher h;
+  c.exec.fingerprint_into(h,
+                          c.exec.push_delta(s.thread, s.action, s.observed));
+  return finish_with_threads(c, h);
 }
 
 Config initial_config(const Program& p) {
@@ -437,24 +457,19 @@ void ensure_saved(Config& c, StepUndo* undo, ThreadId u) {
   snap.regs = c.regs[u - 1];
 }
 
-/// Shared implementation; `undo == nullptr` skips all snapshotting (the
-/// apply-only overload for callers that keep the result).
-EventId apply_step_impl(Config& c, const Step& s, const StepOptions& opts,
-                        StepUndo* undo) {
+/// The thread half of a step; `undo == nullptr` skips all snapshotting
+/// (the apply-only overload for callers that keep the result).
+void apply_thread_half_impl(Config& c, const Step& s, const StepOptions& opts,
+                            StepUndo* undo) {
   const ThreadId t = s.thread;
   if (undo != nullptr) {
     undo->thread = t;
-    undo->silent = s.silent;
     undo->loop_unfold = s.loop_unfold;
     undo->event = c11::kNoEvent;
     undo->saved.clear();
     undo->prev_tau_normal = c.tau_normal;
   }
   ensure_saved(c, undo, t);
-  c11::EventId event = c11::kNoEvent;
-  // Exec undo token: the caller's, or a reusable scratch when discarded.
-  thread_local c11::Execution::UndoToken scratch_tok;
-  c11::Execution::UndoToken& tok = undo != nullptr ? undo->exec : scratch_tok;
 
   auto sv = lang::step(c.cont[t - 1], c.regs[t - 1]);
   assert(sv.has_value());
@@ -471,35 +486,18 @@ EventId apply_step_impl(Config& c, const Step& s, const StepOptions& opts,
     }
   } else if (auto* rd = std::get_if<lang::ReadStep>(&*sv)) {
     c.cont[t - 1] = rd->next(s.action.rdval());
-    {
-      obs::ScopedPhase push_phase(obs::Phase::kPushEvent);
-      event = c.exec.push_event(t, s.action, s.observed, tok);
-    }
   } else if (auto* wr = std::get_if<lang::WriteStep>(&*sv)) {
     c.cont[t - 1] = wr->next;
-    {
-      obs::ScopedPhase push_phase(obs::Phase::kPushEvent);
-      event = c.exec.push_event(t, s.action, s.observed, tok);
-    }
   } else if (auto* fe = std::get_if<lang::FenceStep>(&*sv)) {
     c.cont[t - 1] = fe->next;
-    {
-      obs::ScopedPhase push_phase(obs::Phase::kPushEvent);
-      event = c.exec.push_event(t, s.action, c11::kNoEvent, tok);
-    }
   } else {
     auto* up = std::get_if<lang::UpdateStep>(&*sv);
     assert(up != nullptr);
     c.cont[t - 1] = up->next;
-    {
-      obs::ScopedPhase push_phase(obs::Phase::kPushEvent);
-      event = c.exec.push_event(t, s.action, s.observed, tok);
-    }
     if (up->captures) {
       write_register(c.regs[t - 1], up->capture_reg, s.action.rdval());
     }
   }
-  if (undo != nullptr) undo->event = event;
 
   if (opts.tau_compress) {
     // Same fixpoint as apply_tau_compression, computed thread-locally: a
@@ -546,22 +544,43 @@ EventId apply_step_impl(Config& c, const Step& s, const StepOptions& opts,
   } else {
     c.tau_normal = false;
   }
-  return event;
+}
+
+/// The memory half of a step: its push_event, if it has one.
+EventId push_step_event(Config& c, const Step& s,
+                        c11::Execution::UndoToken& tok) {
+  if (s.silent) return c11::kNoEvent;
+  obs::ScopedPhase push_phase(obs::Phase::kPushEvent);
+  return c.exec.push_event(s.thread, s.action, s.observed, tok);
 }
 
 }  // namespace
 
+void apply_thread_half(Config& c, const Step& s, const StepOptions& opts,
+                       StepUndo& undo) {
+  apply_thread_half_impl(c, s, opts, &undo);
+}
+
+EventId apply_memory_half(Config& c, const Step& s, StepUndo& undo) {
+  undo.event = push_step_event(c, s, undo.exec);
+  return undo.event;
+}
+
 EventId apply_step(Config& c, const Step& s, const StepOptions& opts,
                    StepUndo& undo) {
-  return apply_step_impl(c, s, opts, &undo);
+  apply_thread_half(c, s, opts, undo);
+  return apply_memory_half(c, s, undo);
 }
 
 EventId apply_step(Config& c, const Step& s, const StepOptions& opts) {
-  return apply_step_impl(c, s, opts, nullptr);
+  apply_thread_half_impl(c, s, opts, nullptr);
+  // The exec undo token is discarded: a reusable scratch.
+  thread_local c11::Execution::UndoToken scratch_tok;
+  return push_step_event(c, s, scratch_tok);
 }
 
 void undo_step(Config& c, const StepUndo& undo) {
-  if (!undo.silent) c.exec.pop_event(undo.exec);
+  if (undo.event != c11::kNoEvent) c.exec.pop_event(undo.exec);
   if (undo.loop_unfold) --c.unfoldings[undo.thread - 1];
   for (const auto& snap : undo.saved) {
     c.cont[snap.thread - 1] = snap.cont;

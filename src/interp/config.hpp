@@ -81,9 +81,10 @@ struct Config {
   /// fingerprint(), which hashes the same data without materializing it.
   [[nodiscard]] std::string canonical_key() const;
 
-  /// 128-bit digest of the canonical form: streaming hash of the execution's
-  /// canonical words plus per-thread continuation / register / unfold state.
-  /// Two configs with equal canonical_key() have equal fingerprints.
+  /// 128-bit digest of the canonical form: the execution's fingerprint
+  /// lanes plus per-thread continuation / register / unfold state. Two
+  /// configs with equal canonical_key() have equal fingerprints.
+  /// pending_fingerprint (below) reads the same digest before a push.
   [[nodiscard]] util::Fingerprint fingerprint() const;
 };
 
@@ -134,6 +135,15 @@ struct StepOptions {
 // configuration isomorphic (equal canonical key and fingerprint) to
 // successors(c)[i].next, in the same order — differentially asserted by
 // tests/test_incremental.cpp.
+//
+// apply_step is the composition of two halves that touch disjoint state:
+// the thread half (continuation, registers, unfold count, tau drain, and
+// their snapshots) and the memory half (the step's push_event). A
+// deduplicating explorer runs the thread half, fingerprints the successor
+// with pending_fingerprint, which adds the push's lane delta without
+// pushing, and runs the memory half only for a state the seen set lacks.
+// A merged successor is undone by undo_step, which then reverts the thread
+// half alone.
 
 /// A transition described without any Config state. For memory steps the
 /// action and observed write determine the rf/mo delta (Figure 3).
@@ -150,9 +160,10 @@ struct Step {
 /// their capacity).
 struct StepUndo {
   ThreadId thread = 0;
-  bool silent = true;
   bool loop_unfold = false;
-  EventId event = c11::kNoEvent;  ///< the appended event (non-silent steps)
+  /// The appended event, once the memory half ran; kNoEvent for a silent
+  /// step or a thread half alone (undo_step then pops nothing).
+  EventId event = c11::kNoEvent;
   c11::Execution::UndoToken exec;
 
   /// First-touch snapshots of every thread whose continuation / registers
@@ -189,7 +200,25 @@ EventId apply_step(Config& c, const Step& s, const StepOptions& opts,
 /// would otherwise pay for continuation/register snapshots they never use.
 EventId apply_step(Config& c, const Step& s, const StepOptions& opts);
 
-/// Exact inverse of the matching apply_step (LIFO).
+/// The thread half of apply_step(c, s, opts, undo): everything but the
+/// push. Leaves undo.event at kNoEvent.
+void apply_thread_half(Config& c, const Step& s, const StepOptions& opts,
+                       StepUndo& undo);
+
+/// The memory half: pushes s's event (nothing for a silent step) on a
+/// configuration that holds s's thread half, and records it in that half's
+/// undo record. Returns the appended event (kNoEvent for silent steps).
+EventId apply_memory_half(Config& c, const Step& s, StepUndo& undo);
+
+/// The fingerprint apply_memory_half(c, s, ...) would leave, read from c
+/// after s's thread half alone: the execution's size plus one, its lanes
+/// plus Execution::push_delta, and c's thread state. Nothing is pushed.
+/// Timed as obs::Phase::kFingerprint, the push_delta included.
+[[nodiscard]] util::Fingerprint pending_fingerprint(const Config& c,
+                                                    const Step& s);
+
+/// Exact inverse of the matching apply_step, or of a thread half whose
+/// memory half never ran (LIFO).
 void undo_step(Config& c, const StepUndo& undo);
 
 // --- Canonical event identity ------------------------------------------------

@@ -5,11 +5,15 @@
 
 namespace rc11::litmus {
 
+const char* RunResult::observed() const {
+  if (undecided()) return "unknown";
+  return observed_reachable ? "allowed" : "forbidden";
+}
+
 std::string RunResult::to_string() const {
   std::ostringstream os;
   os << name << ": expected " << litmus::to_string(expected) << ", observed "
-     << (observed_reachable ? "allowed" : "forbidden") << " -> "
-     << (pass ? "PASS" : "FAIL");
+     << observed() << " -> " << (pass ? "PASS" : "FAIL");
   return os.str();
 }
 
@@ -24,8 +28,10 @@ RunResult run_test(const Test& test, mc::ExploreOptions options) {
       mc::check_reachable(parsed.program, parsed.condition, options);
   result.observed_reachable = reach.reachable;
   result.stats = reach.stats;
-  result.pass =
-      reach.reachable == (test.expected == Expectation::kAllowed);
+  // A search the budget cut short before reaching the condition has not
+  // shown it unreachable: an undecided test never passes.
+  result.pass = !result.undecided() &&
+                reach.reachable == (test.expected == Expectation::kAllowed);
 
   const mc::OutcomeResult outcomes =
       mc::enumerate_outcomes(parsed.program, options);
@@ -51,7 +57,7 @@ std::string format_table(const std::vector<RunResult>& results) {
   for (const RunResult& r : results) {
     os << std::left << std::setw(16) << r.name << std::setw(11)
        << to_string(r.expected) << std::setw(11)
-       << (r.observed_reachable ? "allowed" : "forbidden") << std::setw(7)
+       << r.observed() << std::setw(7)
        << (r.pass ? "PASS" : "FAIL") << std::setw(10) << r.stats.states
        << std::setw(10) << r.distinct_outcomes << "\n";
   }

@@ -21,6 +21,15 @@ struct RunResult {
   mc::ExploreStats outcome_stats;
   std::size_t distinct_outcomes = 0;  ///< distinct final observations
 
+  /// The condition was not reached before the state budget cut the search
+  /// short: the test is decided neither way, and it does not pass.
+  [[nodiscard]] bool undecided() const {
+    return !observed_reachable && stats.truncated;
+  }
+
+  /// "allowed", "forbidden" or, for an undecided test, "unknown".
+  [[nodiscard]] const char* observed() const;
+
   [[nodiscard]] std::string to_string() const;
 };
 

@@ -6,7 +6,10 @@
 // back to the prefix the two paths share and applying the rest, so a
 // handoff between items (a steal included) copies no configuration. Each
 // engine keeps its own per-level key to find the shared prefix: step
-// indices in parallel.cpp, tree-node identity in dpor.cpp.
+// indices in parallel.cpp, tree-node identity in dpor.cpp. A deduplicating
+// expansion probes each successor with successor_fingerprint, which never
+// pushes an event; only the worker that later stands on a fresh child
+// replays its whole step.
 #pragma once
 
 #include <cstddef>
@@ -45,6 +48,24 @@ class Cursor {
     obs::ScopedPhase apply_phase(obs::Phase::kApply);
     (void)interp::apply_step(config_, step, opts, undos_[depth_]);
     ++depth_;
+  }
+
+  /// The fingerprint of the configuration `step` leads to, without pushing
+  /// its event: applies the step's thread half on top (timed as kApply),
+  /// fingerprints it with the push pending (interp::pending_fingerprint)
+  /// and undoes the thread half (kUndo). The cursor ends where it stood.
+  [[nodiscard]] util::Fingerprint successor_fingerprint(
+      const interp::Step& step, const interp::StepOptions& opts) {
+    if (undos_.size() == depth_) undos_.emplace_back();
+    interp::StepUndo& undo = undos_[depth_];
+    {
+      obs::ScopedPhase apply_phase(obs::Phase::kApply);
+      interp::apply_thread_half(config_, step, opts, undo);
+    }
+    const util::Fingerprint fp = interp::pending_fingerprint(config_, step);
+    obs::ScopedPhase undo_phase(obs::Phase::kUndo);
+    interp::undo_step(config_, undo);
+    return fp;
   }
 
  private:

@@ -1,6 +1,7 @@
 #include "mc/explorer.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <unordered_map>
 #include <vector>
 
@@ -202,10 +203,13 @@ ExploreResult explore_materialized(const interp::Config& start,
 //
 // One Config is mutated in place along the DFS spine: descending applies
 // the chosen step (apply_step), backtracking undoes it (undo_step). No
-// successor is ever materialized — a candidate is applied, fingerprinted,
-// and immediately undone when the seen set merges it. Frames are pooled
-// (the stack never shrinks its storage), so the per-node successor buffers
-// are reused across the whole search.
+// successor is ever materialized. With dedup on, a candidate gets its
+// thread half only and is fingerprinted with its push pending
+// (interp::pending_fingerprint); the push runs for a new state or a
+// sleep-set revisit, and a merged candidate undoes its thread half alone,
+// so it costs no push_event and no pop_event. Frames are pooled (the stack
+// never shrinks its storage), so the per-node successor buffers are reused
+// across the whole search.
 // ===========================================================================
 
 struct SpineFrame {
@@ -329,10 +333,14 @@ ExploreResult explore_incremental(const interp::Config& start,
     // frame() may grow the pool and invalidate `top` — from here on the
     // current frame is re-fetched as frame(depth).
     SpineFrame& nf = frame(depth + 1);
+    const interp::Step& step = frame(depth).steps[step_index];
     {
       obs::ScopedPhase apply_phase(obs::Phase::kApply);
-      (void)interp::apply_step(cur, frame(depth).steps[step_index],
-                               options.step, nf.undo);
+      if (options.dedup) {
+        interp::apply_thread_half(cur, step, options.step, nf.undo);
+      } else {
+        (void)interp::apply_step(cur, step, options.step, nf.undo);
+      }
     }
 
     nf.id = kNoState;
@@ -343,10 +351,13 @@ ExploreResult explore_incremental(const interp::Config& start,
     }
     bool revisit = false;
     if (options.dedup) {
+      // The push is deferred until the seen set has answered: a merge
+      // undoes the thread half alone.
+      const util::Fingerprint fp = interp::pending_fingerprint(cur, step);
       InsertResult ins;
       {
         obs::ScopedPhase probe_phase(obs::Phase::kSeenProbe);
-        ins = seen.insert(cur.fingerprint(), frame(depth).id,
+        ins = seen.insert(fp, frame(depth).id,
                           static_cast<std::uint32_t>(step_index));
       }
       nf.id = ins.id;
@@ -370,6 +381,9 @@ ExploreResult explore_incremental(const interp::Config& start,
       } else if (por) {
         sleep_store[ins.id] = nf.sleep;
       }
+      (void)interp::apply_memory_half(cur, step, nf.undo);
+      assert(cur.fingerprint() == fp &&
+             "the deferred push left another fingerprint than was probed");
     }
 
     if (!revisit && result.stats.states >= options.max_states) {

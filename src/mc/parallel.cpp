@@ -147,10 +147,11 @@ void position(ParallelRun& run, PathCursor& cur, const WorkItem& item) {
 /// mode, transitions slept on are pruned and each pushed item carries its
 /// successor sleep set.
 ///
-/// The hot path steps the worker's cursor *in place* (Cursor::apply /
-/// undo_to): a successor is applied, fingerprinted, and undone; fresh
-/// states are pushed as path items (parent path + step index) with no
-/// Config attached, so the handoff itself copies nothing.
+/// The hot path steps the worker's cursor *in place*: a successor gets its
+/// thread half, is fingerprinted with its push pending and loses the thread
+/// half again (Cursor::successor_fingerprint), so the expansion pushes no
+/// event at all. Fresh states are pushed as path items (parent path + step
+/// index) with no Config attached, so the handoff itself copies nothing.
 /// The popping worker re-derives the state via position() — one apply in
 /// the LIFO common case, a suffix replay after an actual deque steal.
 void process(ParallelRun& run, std::size_t me, PathCursor& cur,
@@ -160,6 +161,10 @@ void process(ParallelRun& run, std::size_t me, PathCursor& cur,
   ++ws.processed;
   position(run, cur, item);
   interp::Config& config = cur.at.config();
+  // The item was probed with the fingerprint its deferred push would
+  // leave; position() has just run that push.
+  assert(config.fingerprint() == run.seen.record(item.id).fp &&
+         "the deferred push left another fingerprint than was probed");
   const std::size_t depth = item.path.size();
   my.max_depth = std::max<std::size_t>(my.max_depth, depth + 1);
   if (!item.revisit) {
@@ -206,8 +211,8 @@ void process(ParallelRun& run, std::size_t me, PathCursor& cur,
       continue;
     }
     run.transitions.fetch_add(1, std::memory_order_relaxed);
-    cur.at.apply(steps[i], run.options.step);
-    const util::Fingerprint fp = config.fingerprint();
+    const util::Fingerprint fp =
+        cur.at.successor_fingerprint(steps[i], run.options.step);
     if (!run.por_sleep) {
       InsertResult ins;
       {
@@ -221,7 +226,6 @@ void process(ParallelRun& run, std::size_t me, PathCursor& cur,
         ++ws.enqueued;
         push_local(run, me, child_item(ins.id, i));
       }
-      cur.at.undo_to(depth);
       continue;
     }
     SleepSet succ_sleep = successor_sleep(item.sleep, sigs, i);
@@ -258,7 +262,6 @@ void process(ParallelRun& run, std::size_t me, PathCursor& cur,
         }
       }
     }
-    cur.at.undo_to(depth);
   }
 }
 

@@ -28,10 +28,12 @@ namespace rc11::obs {
 enum class Phase : std::uint8_t {
   kEnumerate = 0,   // interp::enumerate_steps + step signatures
                     // (mc::sigs_of)
-  kApply,           // interp::apply_step
+  kApply,           // interp::apply_step, or its thread half alone
   kUndo,            // interp::undo_step
-  kPushEvent,       // Execution::push_event inside apply (relation growth)
-  kFingerprint,     // Config::fingerprint
+  kPushEvent,       // Execution::push_event inside apply (relation growth),
+                    // or a deferred push (interp::apply_memory_half)
+  kFingerprint,     // Config::fingerprint, interp::pending_fingerprint
+                    // (its Execution::push_delta included)
   kSeenProbe,       // seen-set insert/lookup
   kRaceDetect,      // race reversal scan (DPOR engine)
 };

@@ -28,13 +28,21 @@
 //     programs this pits enumerate_steps' Sc filter
 //     (c11::sc_ok_after_push) against the from-scratch check_sc that
 //     successors() keeps;
+//   * the fingerprint read after a step's thread half alone, with its push
+//     pending (interp::pending_fingerprint, the explorers' seen-set probe),
+//     == the materialized successor's fingerprint == the fingerprint the
+//     memory half then leaves;
+//   * undo_step after a thread half alone (the explorers' merge) restores
+//     the canonical key, the fingerprint and every maintained quantity bit
+//     for bit;
 //   * undo_step restores the previous canonical key / fingerprint and the
 //     caches still match the oracles (undo/redo sequences stay exact —
 //     each sibling subtree is an apply/undo cycle at its node).
 //
-// A long single descent (600+ events) checks the same caches every 16
-// levels, past the sizes where relation rows leave their inline words and
-// turn sparse.
+// A long single descent (600+ events), in both tau modes, checks the same
+// caches every 16 levels, past the sizes where relation rows leave their
+// inline words and turn sparse, and the pending fingerprint and the
+// thread-half undo of every enumerated step at every level.
 //
 // A second walk pushes every candidate step *before* the Sc filter at
 // every state of the SC and fence programs and asserts that
@@ -43,6 +51,7 @@
 
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <random>
 #include <set>
 #include <sstream>
@@ -98,6 +107,92 @@ void check_cache(interp::Config& c, const std::string& tag) {
   ASSERT_EQ(ex.fingerprint(), ex.fingerprint_uncached()) << tag;
 }
 
+/// Every maintained quantity of c, read through the cached accessors, so
+/// that a thread half and its undo can be shown to leave them bit for bit.
+/// The per-thread slots the enumeration pinned (reserve_cache_threads) are
+/// read without growing them.
+struct CacheImage {
+  c11::Execution exec;  // events, rf, mo
+  util::Relation hb, eco;
+  util::Bitset covered;
+  std::vector<util::Bitset> encountered, thread_events, var_writes;
+  std::vector<std::uint64_t> cids;
+  util::Fingerprint exec_fp;
+  // The thread state, continuations by node identity.
+  std::vector<lang::ComPtr> cont;
+  std::vector<lang::RegFile> regs;
+  std::vector<int> unfoldings;
+  bool tau_normal = false;
+
+  static CacheImage of(interp::Config& c) {
+    c11::Execution& ex = c.exec;
+    CacheImage im;
+    im.exec = ex;
+    im.hb = ex.cached_hb();
+    im.eco = ex.cached_eco();
+    im.covered = ex.cached_covered();
+    for (c11::ThreadId t = 0; t < ex.cached_thread_count(); ++t) {
+      im.encountered.push_back(ex.cached_encountered(t));
+      im.thread_events.push_back(ex.cached_thread_events(t));
+    }
+    for (c11::VarId x = 0; x < ex.var_count(); ++x) {
+      im.var_writes.push_back(ex.cached_var_writes(x));
+    }
+    im.cids = *ex.cids_if_cached();
+    im.exec_fp = ex.fingerprint();
+    im.cont = c.cont;
+    im.regs = c.regs;
+    im.unfoldings = c.unfoldings;
+    im.tau_normal = c.tau_normal;
+    return im;
+  }
+};
+
+void expect_same_image(interp::Config& c, const CacheImage& want,
+                       const std::string& tag) {
+  const CacheImage got = CacheImage::of(c);
+  ASSERT_TRUE(got.exec == want.exec) << tag;
+  ASSERT_EQ(got.hb, want.hb) << tag;
+  ASSERT_EQ(got.eco, want.eco) << tag;
+  ASSERT_EQ(got.covered, want.covered) << tag;
+  ASSERT_EQ(got.encountered, want.encountered) << tag;
+  ASSERT_EQ(got.thread_events, want.thread_events) << tag;
+  ASSERT_EQ(got.var_writes, want.var_writes) << tag;
+  ASSERT_EQ(got.cids, want.cids) << tag;
+  ASSERT_EQ(got.exec_fp, want.exec_fp) << tag;
+  ASSERT_EQ(got.cont, want.cont) << tag;
+  ASSERT_EQ(got.regs, want.regs) << tag;
+  ASSERT_EQ(got.unfoldings, want.unfoldings) << tag;
+  ASSERT_EQ(got.tau_normal, want.tau_normal) << tag;
+}
+
+/// Applies the thread half of `s` alone and returns the fingerprint read
+/// with its push pending; asserts that undo_step then restores the
+/// fingerprint and, when given, the canonical key and every maintained
+/// quantity bit for bit. The explorers probe their seen sets with this
+/// fingerprint and undo exactly this way on a merge.
+util::Fingerprint pending_then_undo(interp::Config& c, const interp::Step& s,
+                                    const interp::StepOptions& opts,
+                                    const util::Fingerprint& fp_before,
+                                    const std::string* key_before,
+                                    const CacheImage* image,
+                                    const std::string& tag) {
+  interp::StepUndo half;
+  interp::apply_thread_half(c, s, opts, half);
+  EXPECT_EQ(half.event, c11::kNoEvent) << tag;
+  const util::Fingerprint pending = interp::pending_fingerprint(c, s);
+  interp::undo_step(c, half);
+  EXPECT_EQ(c.fingerprint(), fp_before) << tag << " after thread-half undo";
+  if (key_before != nullptr) {
+    EXPECT_EQ(c.canonical_key(), *key_before)
+        << tag << " after thread-half undo";
+  }
+  if (image != nullptr) {
+    expect_same_image(c, *image, tag + " after thread-half undo");
+  }
+  return pending;
+}
+
 /// Walks the transition tree depth-first through the incremental engine,
 /// cross-checking against the materialized successors() oracle at every
 /// node and after every undo. `budget` caps the visited node count.
@@ -135,6 +230,7 @@ void walk(interp::Config& c, const interp::StepOptions& opts,
 
   const util::Fingerprint fp_before = c.fingerprint();
   const std::string key_before = c.canonical_key();
+  const CacheImage image = CacheImage::of(c);
 
   interp::StepUndo undo;
   for (std::size_t i = 0; i < steps.size(); ++i) {
@@ -146,12 +242,23 @@ void walk(interp::Config& c, const interp::StepOptions& opts,
       ASSERT_EQ(steps[i].action, oracle[i].action) << tag;
     }
 
-    const c11::EventId ev = interp::apply_step(c, steps[i], opts, undo);
+    // The fingerprint read before the push is the materialized
+    // successor's, and a thread half alone undoes exactly.
+    const util::Fingerprint pending = pending_then_undo(
+        c, steps[i], opts, fp_before, &key_before, &image, tag);
+    if (::testing::Test::HasFailure()) return;
+    ASSERT_EQ(pending, oracle[i].next.fingerprint()) << tag << " step " << i;
+
+    // The explorers' deferred path: thread half, then memory half.
+    interp::apply_thread_half(c, steps[i], opts, undo);
+    const c11::EventId ev = interp::apply_memory_half(c, steps[i], undo);
     ASSERT_EQ(ev, oracle[i].event) << tag;
-    // apply_step reaches the materialized successor exactly (isomorphic
-    // configuration: same canonical key, same fingerprint).
+    // The two halves reach the materialized successor exactly (isomorphic
+    // configuration: same canonical key, same fingerprint), and the push
+    // keeps the fingerprint that was read before it.
     ASSERT_EQ(c.canonical_key(), oracle[i].next.canonical_key()) << tag;
     ASSERT_EQ(c.fingerprint(), oracle[i].next.fingerprint()) << tag;
+    ASSERT_EQ(c.fingerprint(), pending) << tag << " after the push";
 
     walk(c, opts, budget, tag);
     interp::undo_step(c, undo);
@@ -237,51 +344,77 @@ TEST(Incremental, LongDescentPastRowStorageThresholdsAgreesWithOracle) {
   o.allow_if = false;
   o.allow_fences = true;
   const lang::Program p = generate_program(o);
-  const std::string tag = "long descent";
   constexpr std::size_t kEvery = 16;
   constexpr std::size_t kStepsEvery = 64;
 
-  const interp::StepOptions opts;
-  interp::Config c = interp::initial_config(p);
-  std::mt19937 rng(o.seed);
-  std::vector<interp::StepUndo> undo;
-  std::vector<util::Fingerprint> fps;
-  std::vector<interp::Step> steps;
-  for (std::size_t d = 0;; ++d) {
-    fps.push_back(c.fingerprint());
-    interp::enumerate_steps(c, opts, steps);
-    if (d % kEvery == 0) {
+  for (const bool tau : {false, true}) {
+    const std::string tag =
+        std::string("long descent") + (tau ? " [tau]" : " [plain]");
+    interp::StepOptions opts;
+    opts.tau_compress = tau;
+    interp::Config c = interp::initial_config(p);
+    std::mt19937 rng(o.seed);
+    std::vector<interp::StepUndo> undo;
+    std::vector<util::Fingerprint> fps;
+    std::vector<interp::Step> steps;
+    for (std::size_t d = 0;; ++d) {
       const std::string at = tag + " down at depth " + std::to_string(d);
-      check_cache(c, at);
-      if (::testing::Test::HasFatalFailure()) return;
-    }
-    if (d % kStepsEvery == 0) {
-      const std::string at = tag + " steps at depth " + std::to_string(d);
-      const std::vector<interp::ConfigStep> oracle =
-          interp::successors(c, opts);
-      ASSERT_EQ(steps.size(), oracle.size()) << at;
-      for (std::size_t i = 0; i < steps.size(); ++i) {
-        ASSERT_EQ(steps[i].thread, oracle[i].thread) << at;
-        if (!steps[i].silent) {
-          ASSERT_EQ(steps[i].observed, oracle[i].observed) << at;
-          ASSERT_EQ(steps[i].action, oracle[i].action) << at;
+      fps.push_back(c.fingerprint());
+      interp::enumerate_steps(c, opts, steps);
+      const bool deep = d % kEvery == 0;
+      if (deep) {
+        check_cache(c, at);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+      std::vector<interp::ConfigStep> oracle;
+      if (d % kStepsEvery == 0) {
+        oracle = interp::successors(c, opts);
+        ASSERT_EQ(steps.size(), oracle.size()) << at;
+        for (std::size_t i = 0; i < steps.size(); ++i) {
+          ASSERT_EQ(steps[i].thread, oracle[i].thread) << at;
+          if (!steps[i].silent) {
+            ASSERT_EQ(steps[i].observed, oracle[i].observed) << at;
+            ASSERT_EQ(steps[i].action, oracle[i].action) << at;
+          }
         }
       }
+      // Every enumerated step: the fingerprint read before the push is
+      // the one the push leaves (and the materialized successor's, where
+      // listed), and the thread half alone undoes to the same fingerprint
+      // (and, every kEvery levels, to the same events, relations, thread
+      // state and maintained quantities: at this size a canonical key
+      // would cost more than the rest of the walk).
+      std::optional<CacheImage> image;
+      if (deep) image = CacheImage::of(c);
+      for (std::size_t i = 0; i < steps.size(); ++i) {
+        const util::Fingerprint pending =
+            pending_then_undo(c, steps[i], opts, fps.back(), nullptr,
+                              image ? &*image : nullptr, at);
+        if (::testing::Test::HasFailure()) return;
+        interp::StepUndo full;
+        (void)interp::apply_step(c, steps[i], opts, full);
+        ASSERT_EQ(c.fingerprint(), pending) << at << " step " << i;
+        interp::undo_step(c, full);
+        if (!oracle.empty()) {
+          ASSERT_EQ(pending, oracle[i].next.fingerprint())
+              << at << " step " << i;
+        }
+      }
+      if (steps.empty()) break;
+      undo.emplace_back();
+      (void)interp::apply_step(c, steps[rng() % steps.size()], opts,
+                               undo.back());
     }
-    if (steps.empty()) break;
-    undo.emplace_back();
-    (void)interp::apply_step(c, steps[rng() % steps.size()], opts,
-                             undo.back());
-  }
-  ASSERT_TRUE(c.terminated()) << tag;
-  ASSERT_GT(c.exec.size(), 600u) << tag;
+    ASSERT_TRUE(c.terminated()) << tag;
+    ASSERT_GT(c.exec.size(), 600u) << tag;
 
-  for (std::size_t d = undo.size(); d-- > 0;) {
-    interp::undo_step(c, undo[d]);
-    ASSERT_EQ(c.fingerprint(), fps[d]) << tag << " up at depth " << d;
-    if (d % kEvery == 0) {
-      check_cache(c, tag + " up at depth " + std::to_string(d));
-      if (::testing::Test::HasFatalFailure()) return;
+    for (std::size_t d = undo.size(); d-- > 0;) {
+      interp::undo_step(c, undo[d]);
+      ASSERT_EQ(c.fingerprint(), fps[d]) << tag << " up at depth " << d;
+      if (d % kEvery == 0) {
+        check_cache(c, tag + " up at depth " + std::to_string(d));
+        if (::testing::Test::HasFatalFailure()) return;
+      }
     }
   }
 }

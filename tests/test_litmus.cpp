@@ -41,6 +41,35 @@ TEST(Catalog, HasBothExpectations) {
   EXPECT_TRUE(forbidden);
 }
 
+TEST(Runner, SearchCutShortByTheBudgetIsUndecidedAndNeverPasses) {
+  // Three states reach no final state of any catalogue test, so no
+  // condition is reached and every search is truncated: "not reached" is
+  // then no evidence of "forbidden", and a forbidden-expected test must
+  // not pass on it.
+  mc::ExploreOptions options;
+  options.max_states = 3;
+  std::vector<RunResult> rs;
+  for (const litmus::Test& t : catalog()) {
+    RunResult r = run_test(t, options);
+    EXPECT_TRUE(r.stats.truncated) << r.to_string();
+    EXPECT_TRUE(r.undecided()) << r.to_string();
+    EXPECT_FALSE(r.pass) << r.to_string();
+    EXPECT_NE(r.to_string().find("observed unknown -> FAIL"),
+              std::string::npos)
+        << r.to_string();
+    rs.push_back(std::move(r));
+  }
+  const std::string table = format_table(rs);
+  EXPECT_EQ(table.find("PASS"), std::string::npos) << table;
+  // The observed column reads "unknown" on every row.
+  std::size_t unknown_rows = 0;
+  for (std::size_t at = table.find("unknown"); at != std::string::npos;
+       at = table.find("unknown", at + 1)) {
+    ++unknown_rows;
+  }
+  EXPECT_EQ(unknown_rows, catalog().size()) << table;
+}
+
 TEST(Runner, TableFormatsOneRowPerTest) {
   std::vector<RunResult> rs;
   rs.push_back(run_test(find_test("MP_ra")));

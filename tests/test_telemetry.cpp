@@ -243,6 +243,43 @@ TEST(Telemetry, ExplorerAttachesPhaseProfile) {
   }
 }
 
+TEST(Telemetry, MergedTransitionsPushNoEvent) {
+  // The deduplicating explorer fingerprints a successor before its push
+  // and pushes only for a new state or a sleep-set revisit, so on a
+  // merge-heavy program the push_event count sits far below the memory
+  // transitions. conflict4 (verdictbench's shape: four threads on one
+  // variable) has no SC access, so enumeration's Sc filter pushes nothing
+  // either; every counted push enters a state the search keeps.
+  const auto parsed = lang::parse_litmus(R"(litmus conflict4
+var x = 0
+thread 1 { x := 1; a := x; }
+thread 2 { x := 2; a := x; }
+thread 3 { x := 3; a := x; }
+thread 4 { a := x; b := x; }
+forbidden (4:a == 2 && 4:b == 0)
+)");
+  const struct {
+    mc::PorMode por;
+    std::size_t states, transitions, merged, pushes;
+  } cases[] = {
+      {mc::PorMode::kNone, 41'346, 148'772, 107'427, 18'105},
+      {mc::PorMode::kSleepSets, 41'346, 120'092, 55'138, 35'980},
+  };
+  for (const auto& c : cases) {
+    Telemetry tel;
+    mc::ExploreOptions opts;
+    opts.por = c.por;
+    opts.telemetry = &tel;
+    const mc::ExploreResult r = mc::explore(parsed.program, opts, {});
+    const char* mode = mc::por_mode_name(c.por);
+    EXPECT_FALSE(r.stats.truncated) << mode;
+    EXPECT_EQ(r.stats.states, c.states) << mode;
+    EXPECT_EQ(r.stats.transitions, c.transitions) << mode;
+    EXPECT_EQ(r.stats.merged, c.merged) << mode;
+    EXPECT_EQ(r.phases[Phase::kPushEvent].count, c.pushes) << mode;
+  }
+}
+
 TEST(Telemetry, ZeroOverheadContractWhenOff) {
   // No telemetry: the result profile stays empty and no thread-local
   // track is bound (ScopedPhase outside any WorkerScope is a no-op).
