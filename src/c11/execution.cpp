@@ -340,8 +340,8 @@ FactHash event_fact(std::uint64_t cid, const Action& a) {
               static_cast<std::uint64_t>(a.wval));
 }
 
-/// Thread-local scratch sets so push_event and push_delta allocate nothing
-/// once warm.
+/// Thread-local scratch sets so push_event and pending_fingerprint_into
+/// allocate nothing once warm.
 struct Scratch {
   util::Bitset before, after, readers, hbcol, rel, din, ecocol, ecorow,
       ecohb, new_ew, reach, reach_hb;
@@ -418,11 +418,12 @@ void Execution::fingerprint_into(util::FingerprintHasher& h) const {
   mix_fingerprint(h, events_.size(), a, b);
 }
 
-void Execution::fingerprint_into(util::FingerprintHasher& h,
-                                 const LaneDelta& pending) const {
-  assert(cache_.valid);
-  mix_fingerprint(h, events_.size() + 1, cache_.fp_a + pending.a,
-                  cache_.fp_b + pending.b);
+void Execution::pending_fingerprint_into(util::FingerprintHasher& h,
+                                         ThreadId tid, const Action& a,
+                                         EventId w) const {
+  const LaneDelta d = plan_push(tid, a, w, scratch().before).delta;
+  mix_fingerprint(h, events_.size() + 1, cache_.fp_a + d.a,
+                  cache_.fp_b + d.b);
 }
 
 util::Fingerprint Execution::fingerprint() const {
@@ -568,11 +569,6 @@ Execution::PushPlan Execution::plan_push(ThreadId tid, const Action& a,
         [&](std::size_t q) { add_fact(fact(kMoTag, plan.cid, c.cid[q])); });
   }
   return plan;
-}
-
-Execution::LaneDelta Execution::push_delta(ThreadId tid, const Action& a,
-                                           EventId w) const {
-  return plan_push(tid, a, w, scratch().before).delta;
 }
 
 EventId Execution::push_event(ThreadId tid, const Action& a, EventId w,

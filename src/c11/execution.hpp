@@ -106,10 +106,11 @@ class Execution {
   //
   // The fingerprint lanes a push adds depend only on the pre-state and the
   // step (the new event's canonical id, its rf source and its mo
-  // neighbours), so push_delta computes them without mutating anything:
-  // a deduplicating explorer fingerprints a successor before its push and
-  // skips the push (and the pop) when the seen set already holds the
-  // state. push_event sums its own facts through the same code.
+  // neighbours), so pending_fingerprint_into digests the pushed execution
+  // without mutating anything: a deduplicating explorer fingerprints a
+  // successor before its push and skips the push (and the pop) when the
+  // seen set already holds the state. push_event sums its own facts
+  // through the same code.
 
   /// What one push adds to the two fingerprint lanes.
   struct LaneDelta {
@@ -144,12 +145,6 @@ class Execution {
 
   /// Exact inverse of the matching push_event (LIFO).
   void pop_event(const UndoToken& tok);
-
-  /// The lane delta push_event(tid, a, w, ...) would add, computed without
-  /// mutating anything. Same premises as push_event, and the cache must be
-  /// valid (it is after any cached query, such as step enumeration).
-  [[nodiscard]] LaneDelta push_delta(ThreadId tid, const Action& a,
-                                     EventId w) const;
 
   /// Builds the incremental cache from the from-scratch oracles if it is
   /// not already valid. Cheap no-op when valid.
@@ -284,11 +279,13 @@ class Execution {
   /// counts) on top.
   void fingerprint_into(util::FingerprintHasher& h) const;
 
-  /// As fingerprint_into, for the execution one push_event with lane delta
-  /// `pending` (push_delta) would leave: one more event, lanes plus the
-  /// delta. Requires a valid cache.
-  void fingerprint_into(util::FingerprintHasher& h,
-                        const LaneDelta& pending) const;
+  /// As fingerprint_into, for the execution push_event(tid, a, w, ...)
+  /// would leave: one more event, and the lanes plus the new facts' delta,
+  /// computed without mutating anything. Same premises as push_event, and
+  /// the cache must be valid (it is after any cached query, such as step
+  /// enumeration).
+  void pending_fingerprint_into(util::FingerprintHasher& h, ThreadId tid,
+                                const Action& a, EventId w) const;
 
   /// Structural equality on raw tags (not canonical). sb is derived from
   /// the event sequence, so comparing the events covers it.
@@ -315,7 +312,7 @@ class Execution {
   /// Plans a push over the current universe (valid cache required) and
   /// fills `before` = mo+w = {w} u mo^-1[w], the writes the new event
   /// follows in mo (left empty unless `a` writes). The one definition of a
-  /// push's facts: push_delta and push_event both call it.
+  /// push's facts: pending_fingerprint_into and push_event both call it.
   PushPlan plan_push(ThreadId tid, const Action& a, EventId w,
                      util::Bitset& before) const;
 

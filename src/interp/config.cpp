@@ -63,8 +63,7 @@ util::Fingerprint pending_fingerprint(const Config& c, const Step& s) {
   if (s.silent) return c.fingerprint();
   obs::ScopedPhase fp_phase(obs::Phase::kFingerprint);
   util::FingerprintHasher h;
-  c.exec.fingerprint_into(h,
-                          c.exec.push_delta(s.thread, s.action, s.observed));
+  c.exec.pending_fingerprint_into(h, s.thread, s.action, s.observed);
   return finish_with_threads(c, h);
 }
 

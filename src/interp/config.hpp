@@ -211,9 +211,10 @@ void apply_thread_half(Config& c, const Step& s, const StepOptions& opts,
 EventId apply_memory_half(Config& c, const Step& s, StepUndo& undo);
 
 /// The fingerprint apply_memory_half(c, s, ...) would leave, read from c
-/// after s's thread half alone: the execution's size plus one, its lanes
-/// plus Execution::push_delta, and c's thread state. Nothing is pushed.
-/// Timed as obs::Phase::kFingerprint, the push_delta included.
+/// after s's thread half alone: Execution::pending_fingerprint_into (the
+/// execution's size plus one, its lanes plus the push's fact delta) and
+/// c's thread state. Nothing is pushed. Timed as obs::Phase::kFingerprint,
+/// the fact delta included.
 [[nodiscard]] util::Fingerprint pending_fingerprint(const Config& c,
                                                     const Step& s);
 

@@ -202,14 +202,14 @@ ExploreResult explore_materialized(const interp::Config& start,
 // Incremental spine DFS (the hot path).
 //
 // One Config is mutated in place along the DFS spine: descending applies
-// the chosen step (apply_step), backtracking undoes it (undo_step). No
-// successor is ever materialized. With dedup on, a candidate gets its
-// thread half only and is fingerprinted with its push pending
-// (interp::pending_fingerprint); the push runs for a new state or a
-// sleep-set revisit, and a merged candidate undoes its thread half alone,
-// so it costs no push_event and no pop_event. Frames are pooled (the stack
-// never shrinks its storage), so the per-node successor buffers are reused
-// across the whole search.
+// the chosen step, backtracking undoes it (undo_step). No successor is
+// ever materialized. A candidate gets its thread half first and its push
+// (the memory half) only once it is known to be entered. With dedup on,
+// it is fingerprinted with its push pending (interp::pending_fingerprint)
+// and pushed for a new state or a sleep-set revisit; a merged candidate
+// undoes its thread half alone, so it costs no push_event and no
+// pop_event. Frames are pooled (the stack never shrinks its storage), so
+// the per-node successor buffers are reused across the whole search.
 // ===========================================================================
 
 struct SpineFrame {
@@ -336,11 +336,7 @@ ExploreResult explore_incremental(const interp::Config& start,
     const interp::Step& step = frame(depth).steps[step_index];
     {
       obs::ScopedPhase apply_phase(obs::Phase::kApply);
-      if (options.dedup) {
-        interp::apply_thread_half(cur, step, options.step, nf.undo);
-      } else {
-        (void)interp::apply_step(cur, step, options.step, nf.undo);
-      }
+      interp::apply_thread_half(cur, step, options.step, nf.undo);
     }
 
     nf.id = kNoState;
@@ -350,10 +346,11 @@ ExploreResult explore_incremental(const interp::Config& start,
           successor_sleep(frame(depth).sleep, frame(depth).sigs, step_index);
     }
     bool revisit = false;
+    util::Fingerprint fp;
     if (options.dedup) {
       // The push is deferred until the seen set has answered: a merge
       // undoes the thread half alone.
-      const util::Fingerprint fp = interp::pending_fingerprint(cur, step);
+      fp = interp::pending_fingerprint(cur, step);
       InsertResult ins;
       {
         obs::ScopedPhase probe_phase(obs::Phase::kSeenProbe);
@@ -381,10 +378,10 @@ ExploreResult explore_incremental(const interp::Config& start,
       } else if (por) {
         sleep_store[ins.id] = nf.sleep;
       }
-      (void)interp::apply_memory_half(cur, step, nf.undo);
-      assert(cur.fingerprint() == fp &&
-             "the deferred push left another fingerprint than was probed");
     }
+    (void)interp::apply_memory_half(cur, step, nf.undo);
+    assert((!options.dedup || cur.fingerprint() == fp) &&
+           "the deferred push left another fingerprint than was probed");
 
     if (!revisit && result.stats.states >= options.max_states) {
       result.stats.truncated = true;

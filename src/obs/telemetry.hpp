@@ -33,7 +33,7 @@ enum class Phase : std::uint8_t {
   kPushEvent,       // Execution::push_event inside apply (relation growth),
                     // or a deferred push (interp::apply_memory_half)
   kFingerprint,     // Config::fingerprint, interp::pending_fingerprint
-                    // (its Execution::push_delta included)
+                    // (its push's fact delta included)
   kSeenProbe,       // seen-set insert/lookup
   kRaceDetect,      // race reversal scan (DPOR engine)
 };

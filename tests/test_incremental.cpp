@@ -41,8 +41,9 @@
 //
 // A long single descent (600+ events), in both tau modes, checks the same
 // caches every 16 levels, past the sizes where relation rows leave their
-// inline words and turn sparse, and the pending fingerprint and the
-// thread-half undo of every enumerated step at every level.
+// inline words and turn sparse, and the pending fingerprint (against the
+// from-scratch fingerprint of the pushed execution) and the thread-half
+// undo of every enumerated step at every level.
 //
 // A second walk pushes every candidate step *before* the Sc filter at
 // every state of the SC and fence programs and asserts that
@@ -379,7 +380,8 @@ TEST(Incremental, LongDescentPastRowStorageThresholdsAgreesWithOracle) {
         }
       }
       // Every enumerated step: the fingerprint read before the push is
-      // the one the push leaves (and the materialized successor's, where
+      // the one the push leaves, whose lanes equal their from-scratch
+      // recomputation (and the materialized successor's fingerprint, where
       // listed), and the thread half alone undoes to the same fingerprint
       // (and, every kEvery levels, to the same events, relations, thread
       // state and maintained quantities: at this size a canonical key
@@ -394,6 +396,8 @@ TEST(Incremental, LongDescentPastRowStorageThresholdsAgreesWithOracle) {
         interp::StepUndo full;
         (void)interp::apply_step(c, steps[i], opts, full);
         ASSERT_EQ(c.fingerprint(), pending) << at << " step " << i;
+        ASSERT_EQ(c.exec.fingerprint(), c.exec.fingerprint_uncached())
+            << at << " step " << i;
         interp::undo_step(c, full);
         if (!oracle.empty()) {
           ASSERT_EQ(pending, oracle[i].next.fingerprint())
