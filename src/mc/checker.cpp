@@ -113,9 +113,12 @@ std::optional<c11::DataRace> newest_event_race(const c11::Execution& ex) {
 // S appended one, and was inserted earlier if the step was silent. Either
 // way the choice of S is contradicted. The root cannot be S: it holds only
 // init writes. Every engine visits a racy state when the program has a race
-// (DPOR keeps one interleaving of every maximal execution, and races
-// persist as events are added), so the verdict matches a check of every
-// event against every other.
+// (races persist as events are added, and DPOR keeps one interleaving of
+// every maximal execution), so the verdict matches a check of every event
+// against every other. Under DPOR that interleaving need not be one tree
+// path: it may reach a pruned revisit and continue in the subtree of the
+// state's first complete visit, possibly through further pruned revisits.
+// Every state along it was still visited, the racy final one included.
 RaceResult check_race_free(const lang::Program& program,
                            ExploreOptions options) {
   RaceResult result;

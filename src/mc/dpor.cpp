@@ -1,17 +1,22 @@
 #include "mc/dpor.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <bit>
+#include <cassert>
 #include <chrono>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <thread>
 #include <utility>
 
 #include "mc/cursor.hpp"
 #include "mc/independence.hpp"
 #include "util/arena.hpp"
+#include "util/hash.hpp"
 #include "util/thread_pool.hpp"
 #include "util/work_deque.hpp"
 
@@ -21,6 +26,255 @@ namespace {
 
 struct Engine;
 
+// --- Signature bitsets -----------------------------------------------------
+//
+// Sleep sets, enabled sets and summaries are sets of SigTable ids, stored as
+// words of bits. A set's vector is only as long as its highest id needs;
+// absent words are zero.
+
+using Bits = std::vector<std::uint64_t>;
+
+void bits_set(Bits& b, std::uint32_t id) {
+  const std::size_t w = id / 64;
+  if (w >= b.size()) b.resize(w + 1, 0);
+  b[w] |= std::uint64_t{1} << (id % 64);
+}
+
+[[nodiscard]] bool bits_test(const Bits& b, std::uint32_t id) {
+  const std::size_t w = id / 64;
+  return w < b.size() && ((b[w] >> (id % 64)) & 1) != 0;
+}
+
+void bits_or(Bits& dst, const Bits& src) {
+  if (src.size() > dst.size()) dst.resize(src.size(), 0);
+  for (std::size_t w = 0; w < src.size(); ++w) dst[w] |= src[w];
+}
+
+/// a ⊆ b, over `na` and `nb` words.
+[[nodiscard]] bool bits_subset(const std::uint64_t* a, std::size_t na,
+                               const std::uint64_t* b, std::size_t nb) {
+  for (std::size_t w = 0; w < na; ++w) {
+    if ((a[w] & ~(w < nb ? b[w] : 0)) != 0) return false;
+  }
+  return true;
+}
+
+/// Calls fn(id) for every id in the set, ascending.
+template <typename Fn>
+void bits_for_each(const std::uint64_t* b, std::size_t n, Fn&& fn) {
+  for (std::size_t w = 0; w < n; ++w) {
+    for (std::uint64_t word = b[w]; word != 0; word &= word - 1) {
+      fn(static_cast<std::uint32_t>(w * 64 + std::countr_zero(word)));
+    }
+  }
+}
+
+/// Dense ids for the step signatures one run meets, so that every set of
+/// signatures is a bitset. Ids are handed out in first-met order. A
+/// signature's slot never moves (pages of doubling size), so a worker reads
+/// sig(id) for any id it was handed without the lock; interning takes the
+/// lock when the run has more than one worker.
+class SigTable {
+ public:
+  explicit SigTable(bool shared) : shared_(shared) { index_.assign(64, 0); }
+
+  /// The ids of `sigs`, in order.
+  void intern(const std::vector<StepSig>& sigs,
+              std::vector<std::uint32_t>& ids) {
+    ids.clear();
+    std::unique_lock lock(mu_, std::defer_lock);
+    if (shared_) lock.lock();
+    for (const StepSig& s : sigs) ids.push_back(intern_locked(s));
+  }
+
+  [[nodiscard]] const StepSig& sig(std::uint32_t id) const {
+    const auto [page, offset] = locate(id);
+    return pages_[page][offset];
+  }
+
+  [[nodiscard]] std::size_t bytes() const {
+    std::unique_lock lock(mu_, std::defer_lock);
+    if (shared_) lock.lock();
+    return page_bytes_ + index_.capacity() * sizeof(std::uint32_t);
+  }
+
+ private:
+  static constexpr std::size_t kFirstPage = 32;
+
+  /// Page p holds kFirstPage << p signatures; see PagedRecordStore.
+  static std::pair<std::size_t, std::size_t> locate(std::uint32_t id) {
+    const std::size_t biased = id + kFirstPage;
+    const int width = std::bit_width(biased);
+    return {static_cast<std::size_t>(width - std::bit_width(kFirstPage)),
+            biased - (std::size_t{1} << (width - 1))};
+  }
+
+  static std::size_t hash(const StepSig& s) {
+    std::size_t h = s.thread;
+    util::hash_combine(h, (std::size_t{s.silent} << 9) |
+                              (std::size_t{s.sc_coupled} << 8) |
+                              static_cast<std::size_t>(s.kind));
+    util::hash_combine(h, s.var);
+    util::hash_combine(h, static_cast<std::size_t>(s.rval));
+    util::hash_combine(h, static_cast<std::size_t>(s.wval));
+    util::hash_combine(h, (std::size_t{s.observed.thread} << 32) |
+                              s.observed.index);
+    return h;
+  }
+
+  std::uint32_t intern_locked(const StepSig& s) {
+    const std::size_t mask = index_.size() - 1;
+    std::size_t slot = hash(s) & mask;
+    for (; index_[slot] != 0; slot = (slot + 1) & mask) {
+      if (sig(index_[slot] - 1) == s) return index_[slot] - 1;
+    }
+    const std::uint32_t id = size_++;
+    const auto [page, offset] = locate(id);
+    if (!pages_[page]) {
+      pages_[page] = std::make_unique<StepSig[]>(kFirstPage << page);
+      page_bytes_ += (kFirstPage << page) * sizeof(StepSig);
+    }
+    pages_[page][offset] = s;
+    index_[slot] = id + 1;
+    if (2 * std::size_t{size_} > index_.size()) {
+      std::vector<std::uint32_t> old = std::move(index_);
+      index_.assign(old.size() * 2, 0);
+      const std::size_t m = index_.size() - 1;
+      for (const std::uint32_t e : old) {
+        if (e == 0) continue;
+        std::size_t k = hash(sig(e - 1)) & m;
+        while (index_[k] != 0) k = (k + 1) & m;
+        index_[k] = e;
+      }
+    }
+    return id;
+  }
+
+  bool shared_;
+  mutable std::mutex mu_;
+  std::array<std::unique_ptr<StepSig[]>, 27> pages_;
+  std::vector<std::uint32_t> index_;  ///< id + 1; 0 = empty
+  std::uint32_t size_ = 0;
+  std::size_t page_bytes_ = 0;
+};
+
+/// The records of the stateful search, keyed by the StateId the seen set
+/// hands out: for each state with a complete visit, the visit's arrival
+/// sleep set, the signatures enabled at the state and the summary of every
+/// signature executed below it, as bitsets over SigTable ids. A shard is
+/// one flat array of fixed-stride records (three sets of `width` words)
+/// plus one bit per record that says it is complete; the array is laid out
+/// afresh at a doubled width when a set outgrows it. A sharded seen set
+/// puts its shard in a StateId's low four bits, so a multi-worker run keeps
+/// one record shard, behind one lock, per seen-set shard; a single-worker
+/// run has one unlocked shard.
+class RecordStore {
+ public:
+  explicit RecordStore(bool sharded)
+      : sharded_(sharded), shards_(sharded ? kShards : 1) {}
+
+  /// Publishes a complete visit of state `id`. The first complete visit
+  /// fills the record. A later one whose sleep set is a subset of the
+  /// record's replaces that sleep set and adds its summary, since its
+  /// exploration asked for at least as much. Any other is dropped.
+  void offer(StateId id, const Bits& sleep, const Bits& enabled,
+             const Bits& summary) {
+    Shard& sh = shard_of(id);
+    std::unique_lock lock(sh.mu, std::defer_lock);
+    if (sharded_) lock.lock();
+    const std::size_t local = local_of(id);
+    sh.fit(local, std::max({sleep.size(), enabled.size(), summary.size()}));
+    std::uint64_t* rec = sh.record(local);
+    const std::size_t w = sh.width;
+    if (!bits_test(sh.done, static_cast<std::uint32_t>(local))) {
+      bits_set(sh.done, static_cast<std::uint32_t>(local));
+      std::copy(sleep.begin(), sleep.end(), rec);
+      std::copy(enabled.begin(), enabled.end(), rec + w);
+      std::copy(summary.begin(), summary.end(), rec + 2 * w);
+    } else if (bits_subset(sleep.data(), sleep.size(), rec, w)) {
+      std::fill(rec, rec + w, 0);
+      std::copy(sleep.begin(), sleep.end(), rec);
+      for (std::size_t k = 0; k < summary.size(); ++k) {
+        rec[2 * w + k] |= summary[k];
+      }
+    }
+  }
+
+  /// True iff state `id` has a record whose sleep set is a subset of
+  /// `sleep`: a revisit arriving with `sleep` may then stop there. Fills
+  /// `summary` and `enabled` from the record when it does.
+  [[nodiscard]] bool covers(StateId id, const Bits& sleep, Bits& summary,
+                            Bits& enabled) {
+    Shard& sh = shard_of(id);
+    std::unique_lock lock(sh.mu, std::defer_lock);
+    if (sharded_) lock.lock();
+    const std::size_t local = local_of(id);
+    if (!bits_test(sh.done, static_cast<std::uint32_t>(local))) return false;
+    const std::uint64_t* rec = sh.record(local);
+    const std::size_t w = sh.width;
+    if (!bits_subset(rec, w, sleep.data(), sleep.size())) return false;
+    enabled.assign(rec + w, rec + 2 * w);
+    summary.assign(rec + 2 * w, rec + 3 * w);
+    return true;
+  }
+
+  [[nodiscard]] std::size_t bytes() const {
+    std::size_t n = 0;
+    for (const Shard& sh : shards_) {
+      std::unique_lock lock(sh.mu, std::defer_lock);
+      if (sharded_) lock.lock();
+      n += (sh.words.capacity() + sh.done.capacity()) * sizeof(std::uint64_t);
+    }
+    return n;
+  }
+
+ private:
+  static constexpr std::size_t kShardBits = 4;  // ConcurrentSeenSet's
+  static constexpr std::size_t kShards = std::size_t{1} << kShardBits;
+
+  struct Shard {
+    mutable std::mutex mu;
+    std::vector<std::uint64_t> words;
+    Bits done;              ///< local ids whose record is complete
+    std::size_t width = 1;  ///< words per set
+    std::size_t count = 0;  ///< records laid out
+
+    std::uint64_t* record(std::size_t local) {
+      return words.data() + local * 3 * width;
+    }
+
+    /// Makes room for record `local` with sets of `need` words.
+    void fit(std::size_t local, std::size_t need) {
+      if (need > width) {
+        const std::size_t old = width;
+        width = std::bit_ceil(need);
+        std::vector<std::uint64_t> grown(count * 3 * width, 0);
+        for (std::size_t r = 0; r < count; ++r) {
+          for (std::size_t set = 0; set < 3; ++set) {
+            const std::uint64_t* from = words.data() + (3 * r + set) * old;
+            std::copy(from, from + old, grown.data() + (3 * r + set) * width);
+          }
+        }
+        words = std::move(grown);
+      }
+      if (local >= count) {
+        count = local + 1;
+        words.resize(count * 3 * width, 0);
+      }
+    }
+  };
+
+  Shard& shard_of(StateId id) {
+    return shards_[sharded_ ? id & (kShards - 1) : 0];
+  }
+  [[nodiscard]] std::size_t local_of(StateId id) const {
+    return static_cast<std::size_t>(sharded_ ? id >> kShardBits : id);
+  }
+
+  bool sharded_;
+  std::vector<Shard> shards_;
+};
+
 /// One node of the exploration tree: a step path, never a configuration.
 /// The spine (parent chain) is the trace E the node was reached by, and
 /// its configuration is whatever replaying the spine's incoming steps from
@@ -29,7 +283,7 @@ struct Engine;
 /// race reversals discovered in stolen subtrees insert backtrack points
 /// into ancestors owned by other workers. Nodes stay alive exactly while
 /// some queued item, descendant or cursor spine holds a PoolRef to them —
-/// an insertion into a node whose owner finished it long ago simply
+/// an insertion into a node whose owner finished its queued items simply
 /// enqueues a fresh work item for it. Nodes are arena-allocated and
 /// recycled through the engine pool (util/arena.hpp): the intrusive
 /// refcount replaces one shared_ptr control-block allocation per
@@ -40,6 +294,7 @@ struct Node {
   util::PoolRef<Node> parent;
   std::uint32_t depth = 0;
   StepSig in_sig{};  ///< signature of the incoming step (depth > 0)
+  std::uint32_t in_id = 0;  ///< its SigTable id
   /// Incoming step (depth > 0), as enumerated at the parent. Every
   /// configuration reached by the same step path is identical, tags
   /// included, so any cursor standing on the parent replays it as is.
@@ -56,26 +311,40 @@ struct Node {
   std::vector<char> hb_row;
   /// Transition signatures asleep on arrival: their executions from here
   /// are covered by an earlier sibling subtree.
-  SleepSet sleep;
+  Bits sleep;
 
   // Set when the node arrives (its configuration is visited), before its
-  // first expansion is queued; immutable afterwards.
+  // first expansion is queued; immutable afterwards. A pruned revisit
+  // enumerates nothing.
 
   /// All transitions, by thread ascending (children copy their in_step).
   std::vector<interp::Step> steps;
-  std::vector<StepSig> sigs;  ///< sig per step
-  /// The spine passed through an already-seen configuration: transitions
-  /// from here re-explore a shared suffix (stats.redundant_transitions).
+  std::vector<StepSig> sigs;        ///< sig per step
+  std::vector<std::uint32_t> ids;   ///< SigTable id per step
+  StateId state = kNoState;         ///< the seen set's id of the state
+  /// A revisit that stopped at its state's complete record: a leaf whose
+  /// races were replayed from the record.
+  bool pruned = false;
+  /// The spine passed through a revisit that expanded: transitions from
+  /// here re-explore a shared suffix (stats.redundant_transitions).
   bool redundant = false;
 
-  std::mutex mu;  ///< guards `scheduled` and `executed`
+  /// Queued items of this node plus its children that have not completed.
+  /// The node is complete when the count drops to zero: nothing more runs
+  /// in its subtree, and `summary` is final.
+  std::atomic<std::uint32_t> open{0};
+
+  std::mutex mu;  ///< guards `scheduled`, `executed` and `summary`
   /// Threads scheduled at this node, in insertion order.
   std::vector<c11::ThreadId> scheduled;
-  /// Signatures of the steps already executed from this node, in execution
-  /// order. The order is the sleep-set order: a later-executed step's
-  /// subtree may put an earlier-executed sibling transition to sleep, never
-  /// the reverse.
-  std::vector<StepSig> executed;
+  /// Signatures of the steps already executed from this node. A step's
+  /// child may sleep on the siblings executed before it: a later-executed
+  /// step's subtree may put an earlier-executed sibling transition to
+  /// sleep, never the reverse.
+  Bits executed;
+  /// Signatures executed below this node: every complete child's incoming
+  /// signature and summary. A pruned revisit's is its record's summary.
+  Bits summary;
 };
 
 using NodePtr = util::PoolRef<Node>;
@@ -124,7 +393,9 @@ struct Engine {
         deques(workers),
         worker_stats(workers),
         totals(workers),
-        seen(workers) {
+        seen(workers),
+        sig_table(workers > 1),
+        records(workers > 1) {
     cursors.reserve(workers);
     for (std::size_t k = 0; k < workers; ++k) {
       cursors.push_back(NodeCursor{Cursor(start), {}});
@@ -132,7 +403,7 @@ struct Engine {
   }
 
   /// Arena-backed node pool. A released node keeps the heap buffers of its
-  /// step / signature / sleep vectors, so reusing one is near
+  /// step / signature / bitset vectors, so reusing one is near
   /// allocation-free once the pool is warm; the arena itself packs nodes
   /// contiguously and frees them wholesale. Declared first so it outlives
   /// the deques and cursors: items still queued at early-stop, and cursor
@@ -153,13 +424,16 @@ struct Engine {
   /// serves the root's visit, before the workers start).
   std::vector<NodeCursor> cursors;
 
-  AdaptiveSeenSet seen;  ///< unique-state accounting only (tree search)
+  AdaptiveSeenSet seen;  ///< state ids, which key the records
+  SigTable sig_table;
+  RecordStore records;
 
   std::atomic<std::size_t> pending{0};
   std::atomic<bool> stop{false};
   std::atomic<std::size_t> states{0};
   std::atomic<std::size_t> transitions{0};
   std::atomic<bool> truncated{false};
+  std::atomic<bool> root_complete{false};
 
   std::mutex abort_mutex;
   bool aborted = false;
@@ -174,6 +448,11 @@ struct Engine {
       }
     }
     stop.store(true, std::memory_order_release);
+  }
+
+  /// Seen-set, record and signature-table bytes.
+  [[nodiscard]] std::size_t seen_bytes() const {
+    return seen.bytes() + records.bytes() + sig_table.bytes();
   }
 };
 
@@ -200,14 +479,20 @@ void pooled_dispose(Node* p) {
   p->parent.reset();
   p->depth = 0;
   p->in_sig = {};
+  p->in_id = 0;
   p->in_step = {};
   p->hb_row.clear();
   p->sleep.clear();
   p->steps.clear();
   p->sigs.clear();
+  p->ids.clear();
+  p->state = kNoState;
+  p->pruned = false;
   p->redundant = false;
+  p->open.store(0, std::memory_order_relaxed);
   p->scheduled.clear();
   p->executed.clear();
+  p->summary.clear();
   std::lock_guard lock(eng.pool_mu);
   eng.pool.release(p);
 }
@@ -236,12 +521,12 @@ void move_to(Engine& eng, NodeCursor& nc, const NodePtr& target) {
   }
 }
 
-/// Fills steps/sigs of a node from the configuration it stands for.
-void prepare_node(Node& n, interp::Config& config,
-                  const ExploreOptions& options) {
+/// Fills steps/sigs/ids of a node from the configuration it stands for.
+void prepare_node(Engine& eng, Node& n, interp::Config& config) {
   obs::ScopedPhase enum_phase(obs::Phase::kEnumerate);
-  interp::enumerate_steps(config, options.step, n.steps);
+  interp::enumerate_steps(config, eng.options.step, n.steps);
   sigs_of(n.steps, config.exec, n.sigs, config.has_sc_fence);
+  eng.sig_table.intern(n.sigs, n.ids);
 }
 
 /// The trace from the root to `n` (the path the spine encodes). Entries
@@ -255,10 +540,22 @@ Trace spine_trace(const Node* n) {
   return t;
 }
 
+/// nodes[k] = the node at depth k of n's spine; its in_sig is trace event
+/// e_k and its hb_row[i] says whether e_i happens-before e_k.
+void spine_nodes(Node& n, std::vector<Node*>& nodes) {
+  nodes.resize(n.depth + 1);
+  Node* p = &n;
+  for (std::size_t k = n.depth;; --k) {
+    nodes[k] = p;
+    if (k == 0) break;
+    p = p->parent.get();
+  }
+}
+
 /// True iff thread q has at least one transition at n not slept on.
 bool has_awake_step(const Node& n, c11::ThreadId q) {
-  for (const StepSig& sig : n.sigs) {
-    if (sig.thread == q && !sleep_contains(n.sleep, sig)) return true;
+  for (std::size_t j = 0; j < n.sigs.size(); ++j) {
+    if (n.sigs[j].thread == q && !bits_test(n.sleep, n.ids[j])) return true;
   }
   return false;
 }
@@ -285,7 +582,8 @@ c11::ThreadId pick_first(const Node& n) {
     }
     return 0;
   };
-  for (const StepSig& sig : n.sigs) {
+  for (std::size_t j = 0; j < n.sigs.size(); ++j) {
+    const StepSig& sig = n.sigs[j];
     if (sig.thread != cur) {
       if (const c11::ThreadId r = flush(); r != 0) return r;
       cur = sig.thread;
@@ -293,14 +591,16 @@ c11::ThreadId pick_first(const Node& n) {
       cur_all_silent = true;
     }
     if (!sig.silent) cur_all_silent = false;
-    if (!cur_awake && !sleep_contains(n.sleep, sig)) cur_awake = true;
+    if (!cur_awake && !bits_test(n.sleep, n.ids[j])) cur_awake = true;
   }
   if (const c11::ThreadId r = flush(); r != 0) return r;
   return best;
 }
 
+/// Queues an item; its node counts it as open until the item has run.
 void push_item(Engine& eng, std::size_t me, Item item) {
   eng.pending.fetch_add(1, std::memory_order_acq_rel);
+  item.node->open.fetch_add(1, std::memory_order_relaxed);
   eng.deques.push_local(me, std::move(item));
 }
 
@@ -322,9 +622,10 @@ void schedule_first(Engine& eng, std::size_t me, const NodePtr& node) {
 /// awake transition. When every initial is fully asleep, the race's
 /// reversal is covered by the sibling subtree that put it to sleep; the
 /// first initial is still marked scheduled so later races don't
-/// reconsider the node.
+/// reconsider the node. `target` is an ancestor of the node whose item is
+/// running, so it is not complete yet.
 void insert_backtrack(Engine& eng, std::size_t me, const NodePtr& target,
-                      const std::vector<c11::ThreadId>& initials) {
+                      std::span<const c11::ThreadId> initials) {
   std::lock_guard lock(target->mu);
   for (c11::ThreadId q : initials) {
     if (contains(target->scheduled, q)) return;
@@ -353,19 +654,10 @@ void race_reversals(Engine& eng, std::size_t me, const NodePtr& self,
   row_out.clear();
   if (d == 0) return;
 
-  // nodes[k] = spine node at depth k; its in_sig is trace event e_k and
-  // its hb_row[i] says whether e_i happens-before e_k. (Thread-local
-  // scratch: one call per executed transition, keep it allocation-free.)
+  // (Thread-local scratch: one call per executed transition, keep it
+  // allocation-free.)
   thread_local std::vector<Node*> nodes;
-  nodes.resize(d + 1);
-  {
-    Node* p = &n;
-    for (std::size_t k = d;; --k) {
-      nodes[k] = p;
-      if (k == 0) break;
-      p = p->parent.get();
-    }
-  }
+  spine_nodes(n, nodes);
   const auto sig_at = [&](std::size_t k) -> const StepSig& {
     return nodes[k]->in_sig;
   };
@@ -397,6 +689,86 @@ void race_reversals(Engine& eng, std::size_t me, const NodePtr& self,
       });
 }
 
+/// Replays, at a pruned revisit, the races its subtree would have found
+/// against the spine: each non-silent signature t of the record's summary
+/// is treated as the next step after E, and every reversible race of t
+/// with a spine event e_i schedules the candidate initials of
+/// summary_race_initials at pre(e_i) (`enabled`: the record's enabled
+/// set). Happens-before through spine events alone under-approximates the
+/// real hb, so the replayed races over-approximate the real ones.
+void compensate(Engine& eng, std::size_t me, Node& n, const Bits& enabled) {
+  const std::size_t d = n.depth;
+  thread_local std::vector<Node*> nodes;
+  spine_nodes(n, nodes);
+  const auto sig_at = [&](std::size_t k) -> const StepSig& {
+    return nodes[k]->in_sig;
+  };
+  const auto row_at = [&](std::size_t k) -> const std::vector<char>& {
+    return nodes[k]->hb_row;
+  };
+  thread_local std::vector<StepSig> enabled_sigs;
+  enabled_sigs.clear();
+  bits_for_each(enabled.data(), enabled.size(), [&](std::uint32_t id) {
+    enabled_sigs.push_back(eng.sig_table.sig(id));
+  });
+
+  thread_local std::vector<char> row;
+  thread_local std::vector<c11::ThreadId> initials;
+  bits_for_each(n.summary.data(), n.summary.size(), [&](std::uint32_t id) {
+    const StepSig& t_sig = eng.sig_table.sig(id);
+    if (t_sig.silent) return;
+    build_hb_row(d, t_sig, sig_at, row);
+    for_each_reversible_race(
+        d, t_sig, sig_at, row_at, row, [&](std::size_t i) {
+          const NodePtr& target = nodes[i]->parent;
+          if (summary_race_initials(i, d, t_sig, sig_at, row_at,
+                                    enabled_sigs, initials)) {
+            for (const c11::ThreadId q : initials) {
+              insert_backtrack(eng, me, target, std::span(&q, 1));
+            }
+          } else {
+            insert_backtrack(eng, me, target, initials);
+          }
+        });
+  });
+}
+
+/// Runs when a node's open count drops to zero: publishes the record of a
+/// visit that expanded, folds the node's incoming signature and summary
+/// into its parent's summary, and completes the parent in turn when that
+/// was its last open child. A stopped search publishes nothing: its nodes
+/// may be complete only because their items were dropped.
+void complete(Engine& eng, Node* n) {
+  obs::ScopedPhase probe_phase(obs::Phase::kSeenProbe);
+  // The acq_rel decrements that closed n order every child's fold (under
+  // n->mu) before this read of n->summary.
+  while (!eng.stop.load(std::memory_order_acquire)) {
+    if (!n->pruned) {
+      thread_local Bits enabled;
+      enabled.clear();
+      for (const std::uint32_t id : n->ids) bits_set(enabled, id);
+      eng.records.offer(n->state, n->sleep, enabled, n->summary);
+    }
+    Node* p = n->parent.get();
+    if (p == nullptr) {
+      eng.root_complete.store(true, std::memory_order_release);
+      return;
+    }
+    {
+      std::lock_guard lock(p->mu);
+      bits_or(p->summary, n->summary);
+      bits_set(p->summary, n->in_id);
+    }
+    if (p->open.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+    n = p;
+  }
+}
+
+/// Marks one of the node's open items (or its inline visit) done.
+void settle(Engine& eng, Node* n) {
+  if (n->open.fetch_sub(1, std::memory_order_acq_rel) == 1) complete(eng, n);
+}
+
 /// Expands one scheduled (node, thread) pair: for every enabled transition
 /// of the thread, detects races, and creates the child node with its hb
 /// row and sleep set — all from signatures, without reading a
@@ -411,7 +783,8 @@ void expand_item(Engine& eng, std::size_t me, const Item& item) {
     if (eng.stop.load(std::memory_order_acquire)) return;
 
     const StepSig& sig = n.sigs[i];
-    if (sleep_contains(n.sleep, sig)) {
+    const std::uint32_t id = n.ids[i];
+    if (bits_test(n.sleep, id)) {
       continue;  // covered by an earlier sibling subtree (counted on arrival)
     }
 
@@ -419,11 +792,11 @@ void expand_item(Engine& eng, std::size_t me, const Item& item) {
     // this one (their subtrees cover what this child may sleep on). The
     // snapshot-and-append is one critical section so concurrent executors
     // at the same node order themselves consistently.
-    SleepSet prefix;
+    thread_local Bits prefix;
     {
       std::lock_guard lock(n.mu);
-      prefix.assign(n.executed.begin(), n.executed.end());
-      n.executed.push_back(sig);
+      prefix = n.executed;
+      bits_set(n.executed, id);
     }
 
     eng.transitions.fetch_add(1, std::memory_order_relaxed);
@@ -437,29 +810,29 @@ void expand_item(Engine& eng, std::size_t me, const Item& item) {
     child->parent = item.node;
     child->depth = n.depth + 1;
     child->in_sig = sig;
+    child->in_id = id;
     child->in_step = n.steps[i];
     my.max_depth = std::max<std::size_t>(my.max_depth, child->depth + 1);
 
     // Godefroid's sleep rule at transition granularity: a sibling
     // transition stays asleep in the child iff it commutes with the taken
     // step — inherited sleep plus the earlier-executed siblings.
-    child->sleep.reserve(n.sleep.size() + prefix.size());
-    for (const StepSig& s : n.sleep) {
-      if (independent(s, sig)) child->sleep.push_back(s);
-    }
-    for (const StepSig& s : prefix) {
-      if (independent(s, sig)) child->sleep.push_back(s);
-    }
-    std::sort(child->sleep.begin(), child->sleep.end());
-    child->sleep.erase(std::unique(child->sleep.begin(), child->sleep.end()),
-                       child->sleep.end());
+    if (prefix.size() < n.sleep.size()) prefix.resize(n.sleep.size(), 0);
+    for (std::size_t w = 0; w < n.sleep.size(); ++w) prefix[w] |= n.sleep[w];
+    bits_for_each(prefix.data(), prefix.size(), [&](std::uint32_t s) {
+      if (independent(eng.sig_table.sig(s), sig)) bits_set(child->sleep, s);
+    });
+    // n stays open until the child completes.
+    n.open.fetch_add(1, std::memory_order_relaxed);
     push_item(eng, me, Item{std::move(child), kArrive});
   }
 }
 
 /// Visits a node on worker `me`'s cursor: moves the cursor onto it, then
-/// accounts the unique state (seen set, on_state / on_final), enumerates
-/// its transitions, tallies what the sleep set prunes there and queues the
+/// accounts the unique state (seen set, on_state / on_final). A revisit
+/// whose state has a record covering its sleep set stops there, replaying
+/// the record's races (compensate). Any other visit enumerates its
+/// transitions, tallies what the sleep set prunes there and queues the
 /// expansion of its first thread.
 void arrive(Engine& eng, std::size_t me, const NodePtr& node) {
   NodeCursor& nc = eng.cursors[me];
@@ -500,6 +873,7 @@ void arrive(Engine& eng, std::size_t me, const NodePtr& node) {
     obs::ScopedPhase probe_phase(obs::Phase::kSeenProbe);
     ins = eng.seen.insert(config.fingerprint());
   }
+  x.state = ins.id;
   x.redundant = x.parent->redundant || !ins.inserted;
   if (config.terminated()) ++my.complete_traces;
   if (ins.inserted) {
@@ -524,17 +898,29 @@ void arrive(Engine& eng, std::size_t me, const NodePtr& node) {
   } else {
     ++my.merged;
     ++eng.worker_stats[me].merged;
+    // Godefroid's state-caching rule for sleep sets: a complete visit that
+    // slept on less has explored every future this revisit asks for.
+    thread_local Bits enabled;
+    bool covered;
+    {
+      obs::ScopedPhase probe_phase(obs::Phase::kSeenProbe);
+      covered = eng.records.covers(ins.id, x.sleep, x.summary, enabled);
+    }
+    if (covered) {
+      x.pruned = true;
+      obs::ScopedPhase race_phase(obs::Phase::kRaceDetect);
+      compensate(eng, me, x, enabled);
+      return;
+    }
   }
 
-  prepare_node(x, config, eng.options);
+  prepare_node(eng, x, config);
 
   // The node's transitions already covered elsewhere are what the sleep
   // filter refuses to run (whether or not their thread ever gets scheduled
   // here).
   std::size_t pruned = 0;
-  for (const StepSig& s : x.sigs) {
-    if (sleep_contains(x.sleep, s)) ++pruned;
-  }
+  for (const std::uint32_t id : x.ids) pruned += bits_test(x.sleep, id);
   my.por_pruned += pruned;
   if (!x.sigs.empty() && pruned == x.sigs.size()) {
     // Every enabled transition is asleep: the execution dies here and its
@@ -554,7 +940,7 @@ void emit_heartbeat(Engine& eng) {
   snap.states = eng.states.load(std::memory_order_relaxed);
   snap.transitions = eng.transitions.load(std::memory_order_relaxed);
   snap.frontier = eng.pending.load(std::memory_order_relaxed);
-  snap.seen_bytes = eng.seen.bytes();
+  snap.seen_bytes = eng.seen_bytes();
   for (const WorkerTotals& w : eng.totals) {
     snap.finals += w.stats.finals;
     snap.sleep_blocked += w.stats.sleep_blocked;
@@ -600,6 +986,7 @@ void worker_loop(Engine& eng, std::size_t me) {
     } else {
       expand_item(eng, me, *item);
     }
+    settle(eng, item->node.get());
     eng.pending.fetch_sub(1, std::memory_order_acq_rel);
     if (eng.options.telemetry != nullptr &&
         eng.options.telemetry->heartbeat_due()) {
@@ -635,7 +1022,7 @@ ExploreResult explore_dpor(const interp::Config& start,
     res.stats.states = eng.states.load();
     res.stats.transitions = eng.transitions.load();
     res.stats.truncated = eng.truncated.load();
-    res.stats.peak_seen_bytes = eng.seen.bytes();
+    res.stats.peak_seen_bytes = eng.seen_bytes();
     {
       std::lock_guard lock(eng.abort_mutex);
       res.aborted = eng.aborted || root_aborted;
@@ -651,13 +1038,15 @@ ExploreResult explore_dpor(const interp::Config& start,
   NodePtr root = acquire_node(eng);
   for (NodeCursor& nc : eng.cursors) nc.spine.push_back(root);
   eng.totals[0].stats.max_depth = 1;
+  // The root's inline visit holds it open until its first item is queued.
+  root->open.store(1, std::memory_order_relaxed);
   {
     // The root's visit runs on the calling thread with worker 0's cursor,
     // under its own telemetry scope, released before the workers attach
     // theirs.
     obs::WorkerScope obs_scope(options.telemetry, 0);
     interp::Config& config = eng.cursors[0].at.config();
-    (void)eng.seen.insert(config.fingerprint());
+    root->state = eng.seen.insert(config.fingerprint()).id;
     eng.states.store(1);
     if (visitor.on_state && !visitor.on_state(config)) {
       return finish(/*root_aborted=*/true);
@@ -669,9 +1058,10 @@ ExploreResult explore_dpor(const interp::Config& start,
         return finish(/*root_aborted=*/true);
       }
     }
-    prepare_node(*root, config, eng.options);
+    prepare_node(eng, *root, config);
+    schedule_first(eng, 0, root);
+    settle(eng, root.get());
   }
-  schedule_first(eng, 0, root);
 
   if (workers == 1) {
     worker_loop(eng, 0);
@@ -682,6 +1072,8 @@ ExploreResult explore_dpor(const interp::Config& start,
     }
     pool.wait_idle();
   }
+  // A search that ran to the end completed every node, the root last.
+  assert(eng.stop.load() || eng.root_complete.load());
   return finish();
 }
 

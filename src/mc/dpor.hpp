@@ -3,9 +3,9 @@
 // Partial Order Reduction" refines), instantiated for the interpreted RA
 // semantics.
 //
-// The engine explores the *transition tree* (no cross-branch merging — the
-// per-node scheduling state is path-dependent), scheduling at each node
-// only a dynamically grown source set of threads:
+// The engine explores the *transition tree* (per-node scheduling state is
+// path-dependent), scheduling at each node only a dynamically grown source
+// set of threads, and merges revisits statefully:
 //
 //   * expanding a node runs ALL enabled transitions of one scheduled
 //     thread (value nondeterminism — which write a read observes, where a
@@ -22,13 +22,26 @@
 //     taken stays asleep in the child when an earlier-executed sibling
 //     subtree already covers it; sleeping transitions are never run (they
 //     are counted in stats.por_pruned, and a node whose every transition
-//     sleeps in stats.sleep_blocked).
+//     sleeps in stats.sleep_blocked);
+//   * a node is *complete* once nothing more runs in its subtree. A
+//     visit that completes publishes a record for its state: its arrival
+//     sleep set, the signatures enabled there, and the summary of every
+//     signature executed below it (after Yang, Chen, Gopalakrishnan and
+//     Kirby, "Efficient Stateful Dynamic Partial Order Reduction"). A
+//     revisit of a state whose record is complete and sleeps on a subset
+//     of the revisit's sleep set is a leaf (Godefroid's state-caching
+//     rule for sleep sets); it replays, against its own spine, the races
+//     its subtree would have found, from the record's summary. Any other
+//     revisit expands like a first visit. src/mc/README.md argues the
+//     rule's soundness.
 //
 // Soundness (differentially asserted by tests/test_dpor.cpp over the
 // litmus catalogue and the fuzz generator): every Mazurkiewicz trace of
-// every maximal execution is explored at least once, so reachability
-// verdicts on terminated configurations, final-state fingerprint sets,
-// outcome sets and race existence all agree with full exploration.
+// every maximal execution is explored at least once (through a pruned
+// revisit, it continues in its state's first complete visit), so
+// reachability verdicts on terminated configurations, final-state
+// fingerprint sets, outcome sets and race existence all agree with full
+// exploration.
 // Intermediate global states may be skipped — invariant checking must not
 // use this mode (checker.cpp downgrades to sleep sets).
 //
@@ -48,7 +61,10 @@
 // race reversals discovered in a stolen subtree insert backtrack points
 // into ancestor nodes that are kept alive by the spine's PoolRef chain,
 // and an insertion into an ancestor another worker has long finished
-// simply enqueues a fresh work item for it).
+// simply enqueues a fresh work item for it). Completion counts are atomic,
+// and records live in one flat array per seen-set shard behind that
+// shard's lock; a subtree still running on another worker is not complete,
+// so a revisit of it expands.
 #pragma once
 
 #include <vector>

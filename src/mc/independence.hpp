@@ -285,6 +285,57 @@ inline void weak_initial_indices(std::size_t n, const SigIdx& sig,
   }
 }
 
+/// Candidate initial threads for a race that a pruned revisit replays
+/// (dpor.cpp): e_i is a trace event, t a signature from the revisited
+/// state's summary, treated as the next step after E = e_1..e_depth.
+/// Below the revisit, t comes after some unknown steps w, and reversing
+/// the race schedules an initial of v = N.u.t at pre(e_i), where
+/// N = notdep(e_i, E) and u holds the steps of w that do not
+/// happen-after e_i.
+///
+///   * N non-empty: a weak initial of N keeps its place at the front of
+///     every such v, so WI(N)'s threads are initials of every v, and one
+///     of them suffices. Returns false.
+///   * N empty: v's head is t itself, or u's first step. That step
+///     happens-after none of e_i..e_depth (they all happen-after e_i), so
+///     it is enabled at the revisited state with a signature independent
+///     of each of them. `out` is thread(t) plus the thread of every such
+///     signature in `enabled` (the signatures enabled at the revisited
+///     state); it holds the head of every v, so each of its threads must
+///     be scheduled. Returns true.
+///
+/// `out` is cleared first and holds no thread twice.
+template <typename SigAt, typename RowAt>
+bool summary_race_initials(std::size_t i, std::size_t depth,
+                           const StepSig& t_sig, const SigAt& sig_at,
+                           const RowAt& row_at,
+                           const std::vector<StepSig>& enabled,
+                           std::vector<c11::ThreadId>& out) {
+  out.clear();
+  thread_local std::vector<std::size_t> n;
+  notdep_indices(i, depth, row_at, n);
+  if (!n.empty()) {
+    const auto n_sig = [&](std::size_t a) -> const StepSig& {
+      return sig_at(n[a]);
+    };
+    thread_local std::vector<std::size_t> wi;
+    weak_initial_indices(n.size(), n_sig, wi);
+    // Each weak initial is its thread's first step in N: no repeats.
+    for (const std::size_t a : wi) out.push_back(n_sig(a).thread);
+    return false;
+  }
+  out.push_back(t_sig.thread);
+  for (const StepSig& s : enabled) {
+    if (std::find(out.begin(), out.end(), s.thread) != out.end()) continue;
+    bool free = true;
+    for (std::size_t k = i; k <= depth && free; ++k) {
+      free = independent(s, sig_at(k));
+    }
+    if (free) out.push_back(s.thread);
+  }
+  return true;
+}
+
 /// Sorted signature vector; subset/intersection use the ordering.
 using SleepSet = std::vector<StepSig>;
 

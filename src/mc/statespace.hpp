@@ -47,27 +47,36 @@ namespace rc11::mc {
 struct ExploreStats {
   std::size_t states = 0;       ///< unique configurations visited
   std::size_t transitions = 0;  ///< transitions generated
-  std::size_t merged = 0;       ///< successors deduplicated away
+  /// Successors deduplicated away. Under DPOR: arrivals at a
+  /// configuration already visited, whether the revisit was pruned
+  /// against its state's record or expanded again.
+  std::size_t merged = 0;
   std::size_t finals = 0;       ///< terminated configurations
   std::size_t max_depth = 0;    ///< deepest DFS path
-  std::size_t peak_seen_bytes = 0;  ///< seen-set footprint at peak
+  /// Seen-set footprint at peak. Under DPOR it also counts the per-state
+  /// records of the stateful search and the table of signatures they
+  /// index.
+  std::size_t peak_seen_bytes = 0;
   std::size_t por_pruned = 0;   ///< transitions pruned by the POR layer
   std::size_t backtracks = 0;   ///< DPOR backtrack points inserted
   /// Executions started and then killed by the sleep filter: tree nodes
   /// whose every enabled transition was asleep (the prefix explored to
-  /// reach them was redundant). Nonzero only under the stateless DPOR
-  /// engine.
+  /// reach them was redundant). Nonzero only under the DPOR engine.
   std::size_t sleep_blocked = 0;
-  /// Maximal traces the tree-shaped DPOR engine ran to completion
-  /// (terminated leaves; duplicate final *states* included — this counts
-  /// explored interleavings, not unique outcomes like `finals`). Zero
-  /// under the deduplicating graph explorers.
+  /// Arrivals of the DPOR engine at a terminated configuration: the
+  /// maximal traces it ran to their end (duplicate final *states*
+  /// included — this counts explored interleavings, not unique outcomes
+  /// like `finals`). A revisit pruned before termination counts none,
+  /// although its executions go on in its state's first complete visit.
+  /// Zero under the deduplicating graph explorers.
   std::size_t complete_traces = 0;
   /// Transitions executed from a configuration that — itself or via an
-  /// ancestor on its spine — had already been visited when reached: the
-  /// re-explored shared suffixes of the tree-shaped DPOR engine. The
-  /// deduplicating graph explorers merge duplicates instead of
-  /// re-expanding them, so they always report zero here.
+  /// ancestor on its spine — had already been visited when reached, and
+  /// whose revisit the DPOR engine expanded instead of pruning (its
+  /// state's record was not complete yet, or slept on more than the
+  /// revisit): the shared suffixes it explored again. The deduplicating
+  /// graph explorers merge duplicates instead of re-expanding them, so
+  /// they always report zero here.
   std::size_t redundant_transitions = 0;
   bool truncated = false;       ///< hit max_states
 

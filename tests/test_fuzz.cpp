@@ -170,9 +170,8 @@ TEST(DporFuzz, DporAgreesWithFullExplorationOn200Programs) {
     lang::GeneratorOptions o;
     o.seed = seed;
     // Mostly 2-3 threads (cheap, contention-heavy); every 8th seed runs 4
-    // threads with a third variable — stateless DPOR trades tree
-    // re-exploration time for its state reduction, and all-conflicting
-    // 4-thread programs sit at the worst end of that trade.
+    // threads with a third variable, where interleavings meet at the most
+    // configurations already visited.
     o.threads = i % 8 == 7 ? 4 : 2 + static_cast<int>(i % 2);
     o.vars = o.threads == 4 ? 3 : 2;
     o.max_value = 1;
@@ -221,6 +220,73 @@ TEST(DporFuzz, DporAgreesWithFullExplorationOn200Programs) {
           << tag;
     }
   }
+}
+
+// Deeper draws than the sweep above: 3-4 threads of 3-4 statements on one
+// or two variables with values 0..2, so accesses conflict often and the
+// search keeps revisiting configurations. A revisit whose first visit is
+// complete stops there and replays its races from the first visit's
+// summary; these draws are deep enough for those summaries to span several
+// threads and events. Draws whose full search passes 10,000 states are
+// skipped (their reference costs more than the rest of the slice).
+TEST(DporFuzz, ConflictHeavyDrawsAgreeWithFullExploration) {
+  const std::uint32_t base = fuzz_seed_base();
+  constexpr std::uint32_t kDraws = 64;
+  constexpr std::size_t kStateCap = 10'000;
+  std::size_t checked = 0;
+  for (std::uint32_t i = 0; i < kDraws; ++i) {
+    const std::uint32_t seed = base + i;
+    lang::GeneratorOptions o;
+    o.seed = seed;
+    o.threads = 3 + static_cast<int>((i >> 1) & 1);
+    o.stmts_per_thread = 3 + static_cast<int>((i >> 2) & 1);
+    o.vars = 1 + static_cast<int>((i >> 3) & 1);
+    o.max_value = 2;
+    o.allow_nonatomic = (i % 3) == 1;
+    o.allow_sc = (i % 5) == 2 || (i % 5) == 4;
+    o.allow_fences = (i % 7) == 3 || (i % 7) == 5;
+    const lang::Program p = generate_program(o);
+    const std::string tag = "replay with RC11_FUZZ_SEED=" +
+                            std::to_string(base) + ", draw " +
+                            std::to_string(i) + "\n" + p.to_string();
+
+    mc::ExploreOptions full;
+    full.max_states = kStateCap;
+    const auto full_out = mc::enumerate_outcomes(p, full);
+    if (full_out.stats.truncated) continue;
+    ++checked;
+    const auto full_fps = mc::collect_final_executions(p, full);
+    const bool full_race_free =
+        !o.allow_nonatomic || mc::check_race_free(p, full).race_free;
+
+    mc::ExploreOptions dopts;
+    dopts.por = mc::kDefaultPor;
+    EXPECT_EQ(mc::enumerate_outcomes(p, dopts).outcomes, full_out.outcomes)
+        << tag;
+    EXPECT_EQ(mc::collect_final_executions(p, dopts), full_fps) << tag;
+    if (o.allow_nonatomic) {
+      EXPECT_EQ(mc::check_race_free(p, dopts).race_free, full_race_free)
+          << tag;
+    }
+
+    if (i % 2 == 0) {
+      mc::ParallelOptions popts;
+      popts.explore.por = mc::kDefaultPor;
+      popts.workers = 4;
+      EXPECT_EQ(mc::enumerate_outcomes_parallel(p, popts).outcomes,
+                full_out.outcomes)
+          << tag << "(4 workers)";
+      EXPECT_EQ(mc::collect_final_executions_parallel(p, popts), full_fps)
+          << tag << "(4 workers)";
+      if (o.allow_nonatomic) {
+        EXPECT_EQ(mc::check_race_free_parallel(p, popts).race_free,
+                  full_race_free)
+            << tag << "(4 workers)";
+      }
+    }
+  }
+  // The cap leaves most of the slice to check.
+  EXPECT_GT(checked * 2, std::size_t{kDraws});
 }
 
 // --- SC/fence-enabled metatheory fuzzing -------------------------------------

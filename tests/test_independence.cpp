@@ -7,9 +7,10 @@
 // validation (every POR mode vs. full enumeration) lives in
 // tests/test_dpor.cpp and tests/test_conformance.cpp; these tests pin
 // the individual clauses so a regression names the exact rule it broke.
-// Also pinned here: the weak initials race reversal schedules from, and
-// the frame independence of the canonical event ids that name a step's
-// observed write in its signature.
+// Also pinned here: the weak initials race reversal schedules from, the
+// candidate initials a pruned revisit schedules when it replays a race
+// from its record, and the frame independence of the canonical event ids
+// that name a step's observed write in its signature.
 #include <gtest/gtest.h>
 
 #include <iterator>
@@ -188,6 +189,88 @@ TEST(Independence, WeakInitialIndices) {
   weak_initial_indices(
       std::size(v), [&](std::size_t j) -> const StepSig& { return v[j]; }, wi);
   EXPECT_EQ(wi, (std::vector<std::size_t>{0, 1}));
+}
+
+// --- Candidate initials of a replayed race (pruned revisits in dpor.cpp) ----
+
+/// A hand-built trace E = e_1..e_d (spine[0] unused) with the hb rows the
+/// DPOR engine caches: rows[k][i] != 0 iff e_i ->hb e_k.
+struct Spine {
+  std::vector<StepSig> sigs{StepSig{}};
+  std::vector<std::vector<char>> rows{{}};
+
+  [[nodiscard]] std::size_t depth() const { return sigs.size() - 1; }
+  [[nodiscard]] auto sig_at() const {
+    return [this](std::size_t k) -> const StepSig& { return sigs[k]; };
+  }
+  [[nodiscard]] auto row_at() const {
+    return [this](std::size_t k) -> const std::vector<char>& {
+      return rows[k];
+    };
+  }
+
+  explicit Spine(std::initializer_list<StepSig> events) {
+    for (const StepSig& e : events) {
+      rows.emplace_back();
+      build_hb_row(depth(), e, sig_at(), rows.back());
+      sigs.push_back(e);
+    }
+  }
+};
+
+TEST(Independence, SummaryRaceInitialsAreWeakInitialsOfNotdep) {
+  // E = [t1 wr x, t2 wr y, t3 wr x, t4 wr y], replayed t = t5 rd x racing
+  // e_1. notdep(e_1, E) = [e_2, e_4] (e_3 writes x after e_1); e_4 has the
+  // dependent predecessor e_2, so WI(N) = {e_2}: thread 2, one of which
+  // suffices. The enabled set plays no part.
+  const Spine e{access(1, ActionKind::kWrX, 0), access(2, ActionKind::kWrX, 1),
+                access(3, ActionKind::kWrX, 0), access(4, ActionKind::kWrX, 1)};
+  const StepSig t = access(5, ActionKind::kRdX, 0);
+  const std::vector<StepSig> enabled = {access(6, ActionKind::kWrX, 2)};
+  std::vector<c11::ThreadId> out;
+  EXPECT_FALSE(summary_race_initials(1, e.depth(), t, e.sig_at(), e.row_at(),
+                                     enabled, out));
+  EXPECT_EQ(out, (std::vector<c11::ThreadId>{2}));
+}
+
+TEST(Independence, SummaryRaceInitialsWithEmptyNotdepTakeFreeEnabledThreads) {
+  // E = [t1 wr x, t2 wr x]: e_2 happens-after e_1, so notdep(e_1, E) is
+  // empty. The candidates are thread(t) = 3 plus every thread with an
+  // enabled signature independent of e_1 and e_2: thread 4 (wr y). Thread
+  // 5 reads x and thread 2 is e_2's own thread, so both depend on e_2;
+  // thread 6's write of z commutes with both. Each must be scheduled.
+  const Spine e{access(1, ActionKind::kWrX, 0), access(2, ActionKind::kWrX, 0)};
+  const StepSig t = access(3, ActionKind::kRdX, 0);
+  const std::vector<StepSig> enabled = {
+      access(2, ActionKind::kWrX, 1), access(3, ActionKind::kRdX, 0),
+      access(4, ActionKind::kWrX, 1), access(5, ActionKind::kRdX, 0),
+      access(6, ActionKind::kWrX, 2), access(6, ActionKind::kRdX, 0)};
+  std::vector<c11::ThreadId> out;
+  EXPECT_TRUE(summary_race_initials(1, e.depth(), t, e.sig_at(), e.row_at(),
+                                    enabled, out));
+  EXPECT_EQ(out, (std::vector<c11::ThreadId>{3, 4, 6}));
+}
+
+TEST(Independence, SummaryRaceInitialsSkipThreadsThatConflictWithTheLastEvent) {
+  // E = [t1 wrSC x, t2 wrSC y]: SC accesses are pairwise dependent, so
+  // e_2 happens-after e_1. Thread 7's only enabled step writes y: it
+  // commutes with e_1 but conflicts with e_d = e_2, so no race at e_1 or
+  // e_2 yields it. Thread 8 writes z and commutes with both; thread 9 has
+  // one step that conflicts with e_2 and one that does not.
+  const Spine e{access(1, ActionKind::kWrSC, 0),
+                access(2, ActionKind::kWrSC, 1)};
+  const StepSig t = access(3, ActionKind::kRdSC, 2);
+  const std::vector<StepSig> enabled = {access(7, ActionKind::kWrX, 1),
+                                        access(8, ActionKind::kWrX, 2),
+                                        access(9, ActionKind::kRdX, 1),
+                                        access(9, ActionKind::kRdX, 2)};
+  std::vector<c11::ThreadId> out;
+  for (const std::size_t i : {std::size_t{1}, std::size_t{2}}) {
+    EXPECT_TRUE(summary_race_initials(i, e.depth(), t, e.sig_at(),
+                                      e.row_at(), enabled, out))
+        << "race at e_" << i;
+    EXPECT_EQ(out, (std::vector<c11::ThreadId>{3, 8, 9})) << "race at e_" << i;
+  }
 }
 
 // --- Canonical event identity ------------------------------------------------
