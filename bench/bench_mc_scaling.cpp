@@ -57,6 +57,8 @@ void dedup_ablation(benchmark::State& state) {
 BENCHMARK(dedup_ablation)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
 
 void tau_compression_ablation(benchmark::State& state) {
+  // Raw mc::explore honours step.tau_compress; the outcome query would
+  // fuse silent steps in both series.
   const bool tau = state.range(0) != 0;
   const lang::Program p = lang::parse_litmus(
       litmus::find_test("CoRR2").source).program;
@@ -64,7 +66,7 @@ void tau_compression_ablation(benchmark::State& state) {
   opts.step.tau_compress = tau;
   std::size_t states = 0;
   for (auto _ : state) {
-    const mc::OutcomeResult r = mc::enumerate_outcomes(p, opts);
+    const mc::ExploreResult r = mc::explore(p, opts, {});
     states = r.stats.states;
   }
   state.SetLabel(tau ? "tau-compress" : "plain");

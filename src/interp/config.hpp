@@ -109,8 +109,12 @@ struct StepOptions {
   int loop_bound = -1;
 
   /// Fast-forward deterministic silent/register steps after each visible
-  /// step (tau compression). Sound for reachability of memory-visible
-  /// states; disable when intermediate pcs matter (invariant checking).
+  /// step (tau compression; loop unfoldings stay steps of their own). Sound
+  /// for reachability of memory-visible states; disable when intermediate
+  /// pcs matter (invariant checking). Read by successors and apply_step
+  /// here and by mc::explore / mc::explore_from; the mc queries set it
+  /// themselves: the final-state queries and DPOR turn it on, the
+  /// invariant queries off (mc/checker.hpp).
   bool tau_compress = false;
 };
 

@@ -30,6 +30,7 @@ InvariantResult check_invariant(const lang::Program& program,
 ReachabilityResult check_reachable(const lang::Program& program,
                                    const lang::CondPtr& cond,
                                    ExploreOptions options) {
+  options.step.tau_compress = true;  // reads terminated states only
   ReachabilityResult result;
   Visitor visitor;
   visitor.on_final = [&](const interp::Config& c) {
@@ -81,6 +82,7 @@ Outcome outcome_of(const interp::Config& c, const lang::Program& program) {
 
 OutcomeResult enumerate_outcomes(const lang::Program& program,
                                  ExploreOptions options) {
+  options.step.tau_compress = true;  // reads terminated states only
   OutcomeResult result;
   Visitor visitor;
   visitor.on_final = [&](const interp::Config& c) {
@@ -139,6 +141,7 @@ RaceResult check_race_free(const lang::Program& program,
 
 std::set<util::Fingerprint> collect_final_executions(
     const lang::Program& program, ExploreOptions options) {
+  options.step.tau_compress = true;  // reads terminated states only
   std::set<util::Fingerprint> keys;
   Visitor visitor;
   visitor.on_final = [&](const interp::Config& c) {

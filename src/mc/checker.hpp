@@ -8,6 +8,19 @@
 //  * enumerate_outcomes — all final register/variable valuations.
 //  * collect_final_executions — canonical fingerprints of all final
 //    executions (consumed by the axiomatic equivalence checker).
+//  * check_race_free — data-race freedom (extension).
+//
+// Step granularity. Silent steps (skip elimination, guard resolution and
+// register assignments) touch no memory, so they commute with every other
+// thread's step. check_reachable, enumerate_outcomes and
+// collect_final_executions read terminated configurations only, which
+// cannot tell a search that fuses silent steps into the step before them
+// from one that interleaves them: they set options.step.tau_compress
+// themselves, on every engine, and visit far fewer states. check_invariant
+// forces it off, since an invariant may read any pc. check_race_free
+// honours the caller's setting, whose default keeps every silent step,
+// except under DPOR, which always fuses (dpor.hpp). Loop unfoldings are
+// never fused (they are bounded and must branch).
 #pragma once
 
 #include <map>
@@ -30,7 +43,8 @@ struct InvariantResult {
 
 /// Checks `invariant` at every reachable configuration (bounded by
 /// options.step.loop_bound if set). tau compression is forced OFF so that
-/// intermediate pcs are observed. DPOR is downgraded to sleep sets:
+/// intermediate pcs are observed; the counterexample replays at that
+/// granularity. DPOR is downgraded to sleep sets:
 /// invariants observe intermediate global states, which only the
 /// state-preserving reduction keeps intact.
 [[nodiscard]] InvariantResult check_invariant(const lang::Program& program,
@@ -43,7 +57,9 @@ struct ReachabilityResult {
   ExploreStats stats;
 };
 
-/// Searches for a terminated configuration satisfying `cond`.
+/// Searches for a terminated configuration satisfying `cond`, with silent
+/// steps fused (tau compression forced ON); the witness records that
+/// granularity and replays with replay_trace alone.
 [[nodiscard]] ReachabilityResult check_reachable(const lang::Program& program,
                                                  const lang::CondPtr& cond,
                                                  ExploreOptions options = {});
@@ -68,13 +84,15 @@ struct OutcomeResult {
 [[nodiscard]] Outcome outcome_of(const interp::Config& c,
                                  const lang::Program& program);
 
-/// All distinct final observations of the program.
+/// All distinct final observations of the program, with silent steps
+/// fused (tau compression forced ON).
 [[nodiscard]] OutcomeResult enumerate_outcomes(const lang::Program& program,
                                                ExploreOptions options = {});
 
 /// Canonical-form fingerprints of every reachable terminated
-/// configuration's execution. With `pre_execution`, fingerprints of the
-/// ==>_PE semantics instead.
+/// configuration's execution, with silent steps fused (tau compression
+/// forced ON). With `pre_execution`, fingerprints of the ==>_PE semantics
+/// instead, whose search never fuses silent steps.
 [[nodiscard]] std::set<util::Fingerprint> collect_final_executions(
     const lang::Program& program, ExploreOptions options = {});
 
@@ -83,7 +101,9 @@ struct OutcomeResult {
 /// conflicting unordered access. A racy program has undefined behaviour.
 /// The race is found at a visited state, which the search counts (stats
 /// include it) and `trace` leads to. With stats.truncated set and no race
-/// found, the verdict is unknown, not race free.
+/// found, the verdict is unknown, not race free. Runs at the caller's
+/// step granularity (options.step.tau_compress, off by default), or
+/// fused under DPOR.
 struct RaceResult {
   bool race_free = true;
   std::string race;  ///< description of the first race found

@@ -533,6 +533,7 @@ void prepare_node(Engine& eng, Node& n, interp::Config& config) {
 /// are rendered here, on the cold path — the hot path only records steps.
 Trace spine_trace(const Node* n) {
   Trace t;
+  t.tau_compress = true;  // the engine's granularity (explore_dpor)
   for (const Node* p = n; p->depth > 0; p = p->parent.get()) {
     t.entries.push_back(make_entry(p->in_step));
   }
@@ -1008,7 +1009,7 @@ ExploreResult explore_dpor(const interp::Config& start,
   // preceding transition (loop unfoldings stay visible — they are bounded
   // and must branch). Invisible transitions are never scheduling points in
   // DPOR; this is what makes the reduction bite on register-heavy litmus
-  // programs. Returned traces therefore replay under tau_compress = true.
+  // programs. Returned traces record this granularity.
   eng.options.step.tau_compress = true;
 
   obs::PhaseProfile profile_base;

@@ -82,7 +82,9 @@ namespace rc11::mc {
 /// The engine always forces step.tau_compress = true: scheduling points
 /// are visible (memory) steps; deterministic silent/register steps are
 /// fused into the preceding transition (loop unfoldings stay visible).
-/// Returned traces replay (replay_trace) under tau_compress = true.
+/// Every query runs at this granularity under DPOR, the race query
+/// included. Returned traces record it (Trace::tau_compress), so
+/// replay_trace replays them as they are.
 ///
 /// The engine runs the ==>_RA semantics only: `options.pre_execution` is
 /// ignored (explore_from runs a pre-execution search under sleep sets

@@ -54,8 +54,10 @@ ExploreResult explore_materialized(const interp::Config& start,
   // strictly on every re-expansion, so the search terminates.
   std::unordered_map<StateId, SleepSet> sleep_store;
 
-  auto build_trace = [](const std::vector<MatFrame>& stack) {
+  auto build_trace = [&options](const std::vector<MatFrame>& stack) {
     Trace t;
+    // pe_successors never drains silent steps.
+    t.tau_compress = options.step.tau_compress && !options.pre_execution;
     // Frame 0 is the initial configuration; its incoming entry is empty.
     for (std::size_t i = 1; i < stack.size(); ++i) {
       t.entries.push_back(stack[i].incoming);
@@ -246,6 +248,7 @@ ExploreResult explore_incremental(const interp::Config& start,
 
   auto build_trace = [&](std::size_t upto_depth) {
     Trace t;
+    t.tau_compress = options.step.tau_compress;
     // Frame 0 is the initial configuration; frame i was entered by its
     // parent's step in_index.
     for (std::size_t i = 1; i <= upto_depth; ++i) {

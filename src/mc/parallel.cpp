@@ -374,6 +374,7 @@ Trace reconstruct_trace(const ParallelRun& run, const lang::Program& program,
   std::reverse(step_indices.begin(), step_indices.end());
 
   Trace trace;
+  trace.tau_compress = run.options.step.tau_compress;
   interp::Config c = interp::initial_config(program);
   std::vector<interp::Step> steps;
   for (std::uint32_t i : step_indices) {
@@ -387,6 +388,13 @@ Trace reconstruct_trace(const ParallelRun& run, const lang::Program& program,
 
 std::size_t worker_count(const ParallelOptions& options) {
   return options.workers == 0 ? 1 : options.workers;
+}
+
+/// The options of the final-state queries, which read terminated
+/// configurations only and so fuse silent steps (see checker.hpp).
+ExploreOptions fused(ExploreOptions options) {
+  options.step.tau_compress = true;
+  return options;
 }
 
 void export_info(const ParallelRun& run, ParallelRunInfo* info) {
@@ -405,9 +413,8 @@ ExploreResult run_dpor(const lang::Program& program,
 
 /// A race of the execution the reported trace leads to (the checker stops
 /// at the visited state whose newest event races, so one exists).
-std::string race_of_trace(const lang::Program& program, const Trace& trace,
-                          interp::StepOptions sopts) {
-  const auto final_config = replay_trace(program, trace, sopts);
+std::string race_of_trace(const lang::Program& program, const Trace& trace) {
+  const auto final_config = replay_trace(program, trace);
   if (!final_config) return "<race trace failed to replay>";
   const auto race = c11::find_race(final_config->exec);
   if (!race) return "<race not found on replay>";
@@ -455,7 +462,7 @@ ReachabilityResult check_reachable_parallel(const lang::Program& program,
     return result;
   }
 
-  ParallelRun run(options.explore, worker_count(options));
+  ParallelRun run(fused(options.explore), worker_count(options));
   run.on_final = [&](const interp::Config& c) {
     return !interp::eval_cond(cond, c);
   };
@@ -485,7 +492,7 @@ OutcomeResult enumerate_outcomes_parallel(const lang::Program& program,
     result.stats = run_dpor(program, options, visitor, info).stats;
     return result;
   }
-  ParallelRun run(options.explore, worker_count(options));
+  ParallelRun run(fused(options.explore), worker_count(options));
   run.on_final = collect;
   result.stats = run_parallel(program, run);
   export_info(run, info);
@@ -510,10 +517,7 @@ RaceResult check_race_free_parallel(const lang::Program& program,
     result.race_free = !er.aborted;
     if (er.aborted) {
       result.trace = std::move(er.abort_trace);
-      // The DPOR engine runs (and its traces replay) with tau compression.
-      interp::StepOptions sopts = options.explore.step;
-      sopts.tau_compress = true;
-      result.race = race_of_trace(program, result.trace, sopts);
+      result.race = race_of_trace(program, result.trace);
     }
     return result;
   }
@@ -524,7 +528,7 @@ RaceResult check_race_free_parallel(const lang::Program& program,
   result.race_free = !run.hit_found;
   if (run.hit_found) {
     result.trace = reconstruct_trace(run, program, run.hit_state);
-    result.race = race_of_trace(program, result.trace, run.options.step);
+    result.race = race_of_trace(program, result.trace);
   }
   export_info(run, info);
   return result;
@@ -547,7 +551,7 @@ std::set<util::Fingerprint> collect_final_executions_parallel(
     (void)run_dpor(program, options, visitor, info);
     return keys;
   }
-  ParallelRun run(options.explore, worker_count(options));
+  ParallelRun run(fused(options.explore), worker_count(options));
   run.on_final = collect;
   (void)run_parallel(program, run);
   export_info(run, info);

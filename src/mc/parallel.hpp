@@ -27,6 +27,11 @@
 //     check_invariant_parallel downgrades it to kSleepSets (invariants
 //     observe intermediate states).
 //
+// Each query explores at the granularity of its sequential counterpart
+// (checker.hpp): reachability, outcomes and final executions fuse silent
+// steps, invariants never do, and the race query honours
+// explore.step.tau_compress outside DPOR.
+//
 // On a single-core host this demonstrates correctness rather than speedup;
 // bench_parallel reports the scaling measured on the build machine.
 #pragma once
@@ -62,14 +67,15 @@ struct ParallelRunInfo {
     const lang::Program& program, const ConfigPredicate& invariant,
     const ParallelOptions& options = {}, ParallelRunInfo* info = nullptr);
 
-/// Parallel version of check_reachable; the witness trace is reconstructed
-/// the same way.
+/// Parallel version of check_reachable, with silent steps fused; the
+/// witness trace is reconstructed the same way.
 [[nodiscard]] ReachabilityResult check_reachable_parallel(
     const lang::Program& program, const lang::CondPtr& cond,
     const ParallelOptions& options = {}, ParallelRunInfo* info = nullptr);
 
-/// Parallel outcome enumeration: all distinct final observations, collected
-/// from every worker. Agrees with enumerate_outcomes on the same options.
+/// Parallel outcome enumeration, with silent steps fused: all distinct
+/// final observations, collected from every worker. Agrees with
+/// enumerate_outcomes on the same options.
 [[nodiscard]] OutcomeResult enumerate_outcomes_parallel(
     const lang::Program& program, const ParallelOptions& options = {},
     ParallelRunInfo* info = nullptr);
@@ -85,8 +91,9 @@ struct ParallelRunInfo {
     const lang::Program& program, const ParallelOptions& options = {},
     ParallelRunInfo* info = nullptr);
 
-/// Parallel version of collect_final_executions: canonical-form
-/// fingerprints of every reachable terminated configuration's execution.
+/// Parallel version of collect_final_executions, with silent steps fused:
+/// canonical-form fingerprints of every reachable terminated
+/// configuration's execution.
 /// Agrees with the sequential collector in every POR mode (the
 /// differential-oracle property tests/test_dpor.cpp enforces).
 [[nodiscard]] std::set<util::Fingerprint> collect_final_executions_parallel(

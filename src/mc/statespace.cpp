@@ -40,13 +40,13 @@ InsertResult SeenSet::insert(const util::Fingerprint& fp, StateId parent,
     if (records_[existing].fp == fp) return {existing, false};
     i = (i + 1) & mask_;
   }
-  // Fail loudly rather than handing out ids that alias the kNoState
-  // sentinel (which would corrupt parent chains).
-  if (records_.size() >= max_states_) {
+  // Fail loudly rather than handing out ids the 32-bit slots cannot hold
+  // (which would corrupt parent chains).
+  if (records_.size() >= kMaxRecords) {
     throw std::length_error("SeenSet: StateId space exhausted");
   }
   const StateId id = records_.push(StateRecord{fp, parent, step});
-  slots_[i] = id + 1;
+  slots_[i] = static_cast<std::uint32_t>(id + 1);
   return {id, true};
 }
 
@@ -56,7 +56,7 @@ void SeenSet::rehash(std::size_t new_slot_count) {
   for (StateId id = 0; id < records_.size(); ++id) {
     std::size_t i = records_[id].fp.slot_bits() & mask_;
     while (slots_[i] != 0) i = (i + 1) & mask_;
-    slots_[i] = id + 1;
+    slots_[i] = static_cast<std::uint32_t>(id + 1);
   }
 }
 

@@ -11,23 +11,26 @@
 // counterexample traces by deterministic replay (successors() enumerates
 // steps in a fixed order).
 //
-// StateIds are 64-bit and records live in a *paged* store (a root array of
-// doubling blocks, first page 64 records), so (a) the id space is no
-// longer capped at 4B states (partial-order-reduced but deep runs can
-// exceed 32 bits), (b) growth never copies existing records (no 2x realloc
-// spike at the worst moment), and (c) record addresses are stable, which
-// the concurrent variant relies on for lock-copy reads while other threads
-// append.
+// Records live in a *paged* store (a root array of blocks that double from
+// 64 to 16 Ki records, then stay at 16 Ki), so (a) growth never copies
+// existing records (no 2x realloc spike at the worst moment), (b) past the
+// doubling pages the store overshoots its records by under one 512 KiB
+// page, and (c) record addresses are stable, which the concurrent variant
+// relies on for lock-copy reads while other threads append. The index
+// slots hold 32-bit record indices, so one SeenSet holds at most
+// 2^32 - 2 states; StateIds stay 64-bit, and the sharded variant's ids
+// (local id and shard bits) stay below 2^36.
 //
 // SeenSet is a single-threaded open-addressing table; ConcurrentSeenSet
 // shards the same layout 16 ways with per-shard locks for the parallel
 // explorer. Cost is sizeof(StateRecord) = 32 bytes per state of records
-// plus ~16 bytes per state of index slots at the 50% load cap — versus the
-// hundreds of bytes per state of the std::string canonical keys they
-// replaced (StringSeenSet, kept for the bench_mc_scaling footprint
-// ablation).
+// plus ~8 bytes per state of index slots at the 50% load cap (16 just
+// after a doubling) — versus the hundreds of bytes per state of the
+// std::string canonical keys they replaced (StringSeenSet, kept for the
+// bench_mc_scaling footprint ablation).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstddef>
@@ -131,22 +134,25 @@ struct InsertResult {
   bool inserted = false;  ///< true iff the fingerprint was new
 };
 
-/// Append-only paged array of StateRecords: the classic root array of
-/// doubling blocks. Page p holds 64 << p records, so a litmus-scale run
-/// costs one 2 KiB page while the overshoot stays below 2x at any scale —
-/// and unlike a std::vector, growth never copies existing records (no 2x
-/// realloc spike at the worst moment; addresses are stable, which the
-/// concurrent seen set's lock-copy reads rely on). Indexing is O(1) via
-/// bit_width.
+/// Append-only paged array of StateRecords: a root array of blocks. Page p
+/// holds 64 << p records up to 16 Ki records (512 KiB) at page 8, and every
+/// later page holds 16 Ki. A litmus-scale run costs one 2 KiB page; the
+/// overshoot stays below 2x over the first 32,704 records and below one
+/// page past them. Unlike a std::vector, growth never copies existing
+/// records (no 2x realloc spike at the worst moment; addresses are stable,
+/// which the concurrent seen set's lock-copy reads rely on). Indexing is
+/// O(1): bit_width over the doubling pages, a shift past them.
 class PagedRecordStore {
  public:
   static constexpr std::size_t kFirstPageBits = 6;  // 64 records
+  static constexpr std::size_t kLastPageBits = 14;  // 16 Ki records
 
   /// Appends and returns the new record's dense id.
   StateId push(const StateRecord& rec) {
     if (size_ == capacity_) {
-      const std::size_t page_size = std::size_t{1}
-                                    << (kFirstPageBits + pages_.size());
+      const std::size_t page_size =
+          std::size_t{1} << std::min(kFirstPageBits + pages_.size(),
+                                     kLastPageBits);
       pages_.push_back(std::make_unique<StateRecord[]>(page_size));
       capacity_ += page_size;
     }
@@ -168,9 +174,23 @@ class PagedRecordStore {
   }
 
  private:
+  /// Pages 0 .. kLastPageBits - kFirstPageBits double; together they hold
+  /// the first kDoublingRecords (32,704) records.
+  static constexpr std::size_t kDoublingPages =
+      kLastPageBits - kFirstPageBits + 1;
+  static constexpr StateId kDoublingRecords =
+      (StateId{1} << (kLastPageBits + 1)) - (StateId{1} << kFirstPageBits);
+
   /// id 0 lives at page 0 offset 0; biasing by the first page size makes
-  /// the page index the position of the id's highest bit.
+  /// the page index of a doubling page the position of the id's highest
+  /// bit. Past them, every page holds 1 << kLastPageBits records.
   static std::pair<std::size_t, std::size_t> locate(StateId id) {
+    if (id >= kDoublingRecords) {
+      const StateId past = id - kDoublingRecords;
+      return {kDoublingPages + static_cast<std::size_t>(past >> kLastPageBits),
+              static_cast<std::size_t>(
+                  past & ((StateId{1} << kLastPageBits) - 1))};
+    }
     const StateId biased = id + (StateId{1} << kFirstPageBits);
     const int width = std::bit_width(biased);
     const std::size_t page =
@@ -203,14 +223,12 @@ class SeenSet {
 
   /// Current footprint: record pages plus index slots.
   [[nodiscard]] std::size_t bytes() const {
-    return records_.bytes() + slots_.capacity() * sizeof(StateId);
+    return records_.bytes() + slots_.capacity() * sizeof(slots_[0]);
   }
 
-  /// Caps the number of records; insert() throws std::length_error past it
-  /// instead of handing out ids that collide with kNoState
-  /// (ConcurrentSeenSet lowers it per shard to keep room for its shard
-  /// bits).
-  void set_max_states(StateId n) { max_states_ = n; }
+  /// Most records one SeenSet holds: a slot stores id + 1 in 32 bits, and
+  /// 0 marks it empty. insert() throws std::length_error past the cap.
+  static constexpr StateId kMaxRecords = (StateId{1} << 32) - 2;
 
  private:
   // Power of two. Kept small: every per-program explorer run constructs a
@@ -222,21 +240,17 @@ class SeenSet {
   void rehash(std::size_t new_slot_count);
 
   PagedRecordStore records_;
-  std::vector<StateId> slots_;  ///< record id + 1; 0 = empty
+  std::vector<std::uint32_t> slots_;  ///< record id + 1; 0 = empty
   std::size_t mask_ = 0;
-  StateId max_states_ = kNoState;  ///< ids stay below the sentinel
 };
 
 /// Sharded, mutex-guarded variant for the work-stealing parallel explorer.
 /// StateIds encode the shard in the low bits, so records can be resolved
-/// without a global lock. Insertion contention is one short critical
-/// section on 1 of 16 shards.
+/// without a global lock; with SeenSet::kMaxRecords per shard they stay
+/// below 2^36. Insertion contention is one short critical section on 1 of
+/// 16 shards.
 class ConcurrentSeenSet {
  public:
-  ConcurrentSeenSet() {
-    for (auto& s : shards_) s.set_max_states(kNoState >> kShardBits);
-  }
-
   InsertResult insert(const util::Fingerprint& fp, StateId parent = kNoState,
                       std::uint32_t step = 0) {
     const std::size_t shard = fp.shard_bits() & (kShards - 1);
@@ -286,8 +300,8 @@ class ConcurrentSeenSet {
 
 /// Dispatches between SeenSet and ConcurrentSeenSet by worker count, so
 /// single-worker runs of the DPOR and parallel engines do not pay the
-/// 16-shard fixed footprint (16 empty tables + 16 first pages ≈ a quarter
-/// megabyte per explored program) or the per-insert lock. The parallel
+/// 16-shard fixed footprint (16 empty tables + 16 first pages ≈ 36 KiB
+/// per explored program) or the per-insert lock. The parallel
 /// explorers construct one per run; the StateId encoding follows the
 /// backing store (shard bits only in sharded mode).
 class AdaptiveSeenSet {
@@ -319,7 +333,7 @@ class AdaptiveSeenSet {
 
  private:
   bool sharded_;
-  SeenSet flat_;  ///< used when single-threaded (empty otherwise: ~1 KiB)
+  SeenSet flat_;  ///< used when single-threaded (empty otherwise: 256 B)
   std::optional<ConcurrentSeenSet> concurrent_;
 };
 

@@ -49,10 +49,11 @@ TraceEntry make_entry(const interp::ConfigStep& step) {
 TraceEntry make_entry(const interp::Step& step) { return entry_of(step); }
 
 std::optional<interp::Config> replay_trace(const lang::Program& program,
-                                           const Trace& trace,
-                                           const interp::StepOptions& opts) {
+                                           const Trace& trace) {
   // Replays through the incremental engine (the same path the explorers
   // take); entries match enumerate_steps signatures directly.
+  interp::StepOptions opts;
+  opts.tau_compress = trace.tau_compress;
   interp::Config c = interp::initial_config(program);
   std::vector<interp::Step> steps;
   for (const TraceEntry& entry : trace.entries) {

@@ -19,6 +19,11 @@ struct TraceEntry {
 
 struct Trace {
   std::vector<TraceEntry> entries;
+  /// The step granularity the trace was recorded at: true iff each entry's
+  /// step fused the deterministic silent/register steps after it
+  /// (interp::StepOptions::tau_compress). Every explorer sets it where it
+  /// builds the trace; replay_trace replays at the same granularity.
+  bool tau_compress = false;
 
   [[nodiscard]] bool empty() const { return entries.empty(); }
   [[nodiscard]] std::size_t size() const { return entries.size(); }
@@ -38,12 +43,13 @@ struct Trace {
 
 /// Replays a trace from the program's initial configuration by matching
 /// each entry against the enumerated successors (thread, silence, action
-/// and note identify a transition uniquely). Returns the configuration the
+/// and note identify a transition uniquely), at the granularity the trace
+/// records (Trace::tau_compress). No loop bound applies: a recorded trace
+/// takes only unfoldings its search allowed. Returns the configuration the
 /// trace leads to, or nullopt if some entry matches no real transition —
 /// the determinism check behind the counterexample-replay regression tests
 /// and the parallel race reports.
 [[nodiscard]] std::optional<interp::Config> replay_trace(
-    const lang::Program& program, const Trace& trace,
-    const interp::StepOptions& opts = {});
+    const lang::Program& program, const Trace& trace);
 
 }  // namespace rc11::mc

@@ -62,4 +62,20 @@ bool racy_by_oracle(const lang::Program& program,
   return racy;
 }
 
+Finals finals_by_oracle(const lang::Program& program,
+                        const lang::CondPtr& cond, mc::ExploreOptions options) {
+  options.por = mc::PorMode::kNone;
+  options.step.tau_compress = false;
+  Finals finals;
+  mc::Visitor visitor;
+  visitor.on_final = [&](const interp::Config& c) {
+    finals.outcomes.insert(mc::outcome_of(c, program));
+    finals.fingerprints.insert(c.exec.fingerprint());
+    if (cond && interp::eval_cond(cond, c)) finals.reachable = true;
+    return true;
+  };
+  finals.stats = mc::explore(program, options, visitor).stats;
+  return finals;
+}
+
 }  // namespace rc11::testing

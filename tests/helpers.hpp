@@ -1,10 +1,13 @@
 // Shared fixtures: executions from the paper's worked examples, and the
-// from-scratch race oracle.
+// full-enumeration oracles for races and final states.
 #pragma once
+
+#include <set>
 
 #include "c11/execution.hpp"
 #include "interp/config.hpp"
 #include "lang/program.hpp"
+#include "mc/checker.hpp"
 
 namespace rc11::testing {
 
@@ -43,5 +46,22 @@ struct Example32 {
 /// which tests only each visited state's newest event.
 [[nodiscard]] bool racy_by_oracle(const lang::Program& program,
                                   const interp::StepOptions& step = {});
+
+/// What full enumeration finds at the terminated configurations.
+struct Finals {
+  std::set<mc::Outcome> outcomes;              ///< mc::outcome_of each
+  std::set<util::Fingerprint> fingerprints;    ///< each execution's
+  bool reachable = false;  ///< some final satisfies the condition given
+  mc::ExploreStats stats;  ///< stats.truncated: the sets are partial
+};
+
+/// The final-state oracle: raw mc::explore under `options` (its loop bound
+/// and state budget), with no reduction and no tau compression, so every
+/// silent step is its own transition. The queries in mc/checker.hpp fuse
+/// silent steps; this shares neither that granularity nor their visitors.
+/// `cond`, when given, sets `reachable`.
+[[nodiscard]] Finals finals_by_oracle(const lang::Program& program,
+                                      const lang::CondPtr& cond = nullptr,
+                                      mc::ExploreOptions options = {});
 
 }  // namespace rc11::testing

@@ -9,9 +9,11 @@
 //
 // all agree on: the litmus exists-condition verdict, the set of
 // final-state (terminated-execution) fingerprints, the outcome set, and
-// the race verdict. Race verdicts are checked against a from-scratch
-// all-pairs oracle rather than full exploration's own race query. Also
-// enforced here:
+// the race verdict. The final-state references come from
+// testing::finals_by_oracle: full exploration with every silent step its
+// own transition, where every query here fuses them. Race verdicts are
+// checked against a from-scratch all-pairs oracle rather than full
+// exploration's own race query. Also enforced here:
 //
 //   * the default DPOR mode explores at most 50% of the full-exploration
 //     state count on at least half the catalogue;
@@ -21,8 +23,8 @@
 //     deduplicating graph explorers never re-explore;
 //   * DPOR visits a subset of the reachable states (never an invented
 //     one);
-//   * every counterexample/witness trace returned under DPOR replays
-//     deterministically to the reported violating state (replay_trace);
+//   * every race trace and reachability witness, in every mode, replays
+//     deterministically to the reported state (replay_trace);
 //   * check_invariant downgrades DPOR to the state-preserving sleep-set
 //     mode;
 //   * the sequential source-set engine's exact counters on fixed programs,
@@ -111,22 +113,13 @@ RaceResult race(const lang::Program& p, const Mode& m) {
   return check_race_free(p, seq_options(m.por));
 }
 
-/// Traces produced by the DPOR engine replay under tau compression
-/// (scheduling points are visible steps only); all other traces replay
-/// under the plain step options.
-interp::StepOptions replay_options(PorMode por) {
-  interp::StepOptions o;
-  o.tau_compress = is_dpor(por);
-  return o;
-}
-
 // --- The differential oracle over the litmus catalogue ------------------------
 
 TEST(DporOracle, VerdictsAgreeAcrossCatalog) {
   for (const auto& test : litmus::catalog()) {
     const auto parsed = lang::parse_litmus(test.source);
     const bool expect =
-        reachable(parsed.program, parsed.condition, kModes[0]);
+        testing::finals_by_oracle(parsed.program, parsed.condition).reachable;
     for (const Mode& m : kModes) {
       EXPECT_EQ(reachable(parsed.program, parsed.condition, m), expect)
           << test.name << " under " << m.name;
@@ -137,7 +130,7 @@ TEST(DporOracle, VerdictsAgreeAcrossCatalog) {
 TEST(DporOracle, FinalStateFingerprintsAgreeAcrossCatalog) {
   for (const auto& test : litmus::catalog()) {
     const auto parsed = lang::parse_litmus(test.source);
-    const auto expect = final_fps(parsed.program, kModes[0]);
+    const auto expect = testing::finals_by_oracle(parsed.program).fingerprints;
     ASSERT_FALSE(expect.empty()) << test.name;
     for (const Mode& m : kModes) {
       EXPECT_EQ(final_fps(parsed.program, m), expect)
@@ -149,7 +142,7 @@ TEST(DporOracle, FinalStateFingerprintsAgreeAcrossCatalog) {
 TEST(DporOracle, OutcomesAgreeAcrossCatalog) {
   for (const auto& test : litmus::catalog()) {
     const auto parsed = lang::parse_litmus(test.source);
-    const auto expect = outcomes(parsed.program, kModes[0]);
+    const auto expect = testing::finals_by_oracle(parsed.program).outcomes;
     for (const Mode& m : kModes) {
       EXPECT_EQ(outcomes(parsed.program, m), expect)
           << test.name << " under " << m.name;
@@ -390,7 +383,7 @@ void expect_race_verdict(const NamedProgram& entry, const Mode& m,
   EXPECT_EQ(r.race_free, !racy) << tag << (r.race_free ? "" : ": " + r.race);
   if (r.race_free) return;
   ASSERT_FALSE(r.trace.empty()) << tag;
-  const auto c = replay_trace(entry.program, r.trace, replay_options(m.por));
+  const auto c = replay_trace(entry.program, r.trace);
   ASSERT_TRUE(c.has_value()) << tag << ": trace does not replay";
   EXPECT_TRUE(c11::find_race(c->exec).has_value())
       << tag << ": replayed state has no race";
@@ -439,12 +432,11 @@ TEST(DporOracle, OutcomesAgreeOnHandwrittenTable) {
   // outcome and fingerprint oracles (NA accesses behave as relaxed at the
   // rf/mo layer, so full enumeration is well-defined).
   for (const auto& entry : race_table()) {
-    const auto expect_out = outcomes(entry.program, kModes[0]);
-    const auto expect_fps = final_fps(entry.program, kModes[0]);
+    const testing::Finals expect = testing::finals_by_oracle(entry.program);
     for (const Mode& m : kModes) {
-      EXPECT_EQ(outcomes(entry.program, m), expect_out)
+      EXPECT_EQ(outcomes(entry.program, m), expect.outcomes)
           << entry.name << " under " << m.name;
-      EXPECT_EQ(final_fps(entry.program, m), expect_fps)
+      EXPECT_EQ(final_fps(entry.program, m), expect.fingerprints)
           << entry.name << " under " << m.name;
     }
   }
@@ -453,31 +445,30 @@ TEST(DporOracle, OutcomesAgreeOnHandwrittenTable) {
 // --- Trace-replay regressions -------------------------------------------------
 
 TEST(DporTraces, WitnessesReplayAcrossCatalog) {
-  // Every witness returned under DPOR (both explorers) must replay
-  // deterministically to a terminated state satisfying the condition.
-  const PorMode por = kDefaultPor;
+  // Every witness, in every mode of both explorers, must replay
+  // deterministically to a terminated state satisfying the condition. The
+  // caller passes no step options: the trace records the granularity its
+  // search ran at.
+  std::size_t replayed = 0;
   for (const auto& test : litmus::catalog()) {
     const auto parsed = lang::parse_litmus(test.source);
-    const auto seq =
-        check_reachable(parsed.program, parsed.condition, seq_options(por));
-    if (seq.reachable) {
-      const auto c =
-          replay_trace(parsed.program, seq.witness, replay_options(por));
-      ASSERT_TRUE(c.has_value()) << test.name << " (sequential DPOR)";
-      EXPECT_TRUE(c->terminated()) << test.name;
-      EXPECT_TRUE(interp::eval_cond(parsed.condition, *c)) << test.name;
-    }
-    const auto par = check_reachable_parallel(parsed.program,
-                                              parsed.condition,
-                                              par_options(por));
-    if (par.reachable) {
-      const auto c =
-          replay_trace(parsed.program, par.witness, replay_options(por));
-      ASSERT_TRUE(c.has_value()) << test.name << " (parallel DPOR)";
-      EXPECT_TRUE(c->terminated()) << test.name;
-      EXPECT_TRUE(interp::eval_cond(parsed.condition, *c)) << test.name;
+    for (const Mode& m : kModes) {
+      const ReachabilityResult r =
+          m.parallel ? check_reachable_parallel(parsed.program,
+                                                parsed.condition,
+                                                par_options(m.por))
+                     : check_reachable(parsed.program, parsed.condition,
+                                       seq_options(m.por));
+      if (!r.reachable) continue;
+      const std::string tag = test.name + " under " + m.name;
+      const auto c = replay_trace(parsed.program, r.witness);
+      ASSERT_TRUE(c.has_value()) << tag << ": witness does not replay";
+      EXPECT_TRUE(c->terminated()) << tag;
+      EXPECT_TRUE(interp::eval_cond(parsed.condition, *c)) << tag;
+      ++replayed;
     }
   }
+  EXPECT_GT(replayed, 0u);
 }
 
 // --- Invariant downgrade ------------------------------------------------------
@@ -587,13 +578,12 @@ TEST(RmwNondeterminism, AllModesAgreeOnVerdictOutcomesAndFinals) {
   for (const char* source : kRmwFamily) {
     const auto parsed = lang::parse_litmus(source);
     const auto& p = parsed.program;
-    const bool expect_verdict =
-        check_reachable(p, parsed.condition, rmw_seq_options(PorMode::kNone))
-            .reachable;
-    const auto expect_finals =
-        collect_final_executions(p, rmw_seq_options(PorMode::kNone));
-    const auto expect_outcomes =
-        enumerate_outcomes(p, rmw_seq_options(PorMode::kNone)).outcomes;
+    const testing::Finals full = testing::finals_by_oracle(
+        p, parsed.condition, rmw_seq_options(PorMode::kNone));
+    ASSERT_FALSE(full.stats.truncated) << parsed.name;
+    const bool expect_verdict = full.reachable;
+    const auto& expect_finals = full.fingerprints;
+    const auto& expect_outcomes = full.outcomes;
     ASSERT_FALSE(expect_finals.empty()) << parsed.name;
     for (const Mode& m : kModes) {
       if (m.parallel) {

@@ -152,7 +152,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, WideFuzzTest, ::testing::Range(100u, 110u));
 // the fence/SC independence clauses and the per-step psc filter face the
 // same differential oracle as the classic clauses). Outcome sets,
 // final-execution fingerprints and race verdicts must coincide in every
-// mode; a failing seed prints as "replay with RC11_FUZZ_SEED=<N>"
+// mode with full exploration's; the outcome and fingerprint references
+// come from testing::finals_by_oracle, which fuses no silent steps where
+// the queries do. A failing seed prints as "replay with RC11_FUZZ_SEED=<N>"
 // together with the program text.
 
 std::uint32_t fuzz_seed_base() {
@@ -184,17 +186,19 @@ TEST(DporFuzz, DporAgreesWithFullExplorationOn200Programs) {
         "replay with RC11_FUZZ_SEED=" + std::to_string(seed) + "\n" +
         p.to_string();
 
-    const auto full_out = mc::enumerate_outcomes(p);
-    const auto full_fps = mc::collect_final_executions(p);
-    ASSERT_FALSE(full_out.stats.truncated) << tag;
+    const testing::Finals full = testing::finals_by_oracle(p);
+    ASSERT_FALSE(full.stats.truncated) << tag;
+    // The queries fuse silent steps, even without a reduction.
+    EXPECT_EQ(mc::enumerate_outcomes(p).outcomes, full.outcomes) << tag;
 
     mc::ExploreOptions dopts;
     dopts.por = mc::kDefaultPor;
     const auto dpor_out = mc::enumerate_outcomes(p, dopts);
-    EXPECT_EQ(dpor_out.outcomes, full_out.outcomes) << tag;
-    EXPECT_EQ(mc::collect_final_executions(p, dopts), full_fps) << tag;
+    EXPECT_EQ(dpor_out.outcomes, full.outcomes) << tag;
+    EXPECT_EQ(mc::collect_final_executions(p, dopts), full.fingerprints)
+        << tag;
     // DPOR visits a subset of the reachable states.
-    EXPECT_LE(dpor_out.stats.states, full_out.stats.states) << tag;
+    EXPECT_LE(dpor_out.stats.states, full.stats.states) << tag;
 
     // Race verdicts against the from-scratch oracle (NA seeds only:
     // atomic-only programs never race). The race query runs on the same
@@ -214,9 +218,10 @@ TEST(DporFuzz, DporAgreesWithFullExplorationOn200Programs) {
       popts.explore.por = mc::kDefaultPor;
       popts.workers = 4;
       EXPECT_EQ(mc::enumerate_outcomes_parallel(p, popts).outcomes,
-                full_out.outcomes)
+                full.outcomes)
           << tag;
-      EXPECT_EQ(mc::collect_final_executions_parallel(p, popts), full_fps)
+      EXPECT_EQ(mc::collect_final_executions_parallel(p, popts),
+                full.fingerprints)
           << tag;
     }
   }
@@ -227,8 +232,9 @@ TEST(DporFuzz, DporAgreesWithFullExplorationOn200Programs) {
 // search keeps revisiting configurations. A revisit whose first visit is
 // complete stops there and replays its races from the first visit's
 // summary; these draws are deep enough for those summaries to span several
-// threads and events. Draws whose full search passes 10,000 states are
-// skipped (their reference costs more than the rest of the slice).
+// threads and events. Draws whose full search passes 10,000 states (every
+// silent step its own transition) are skipped: their reference costs more
+// than the rest of the slice.
 TEST(DporFuzz, ConflictHeavyDrawsAgreeWithFullExploration) {
   const std::uint32_t base = fuzz_seed_base();
   constexpr std::uint32_t kDraws = 64;
@@ -250,20 +256,20 @@ TEST(DporFuzz, ConflictHeavyDrawsAgreeWithFullExploration) {
                             std::to_string(base) + ", draw " +
                             std::to_string(i) + "\n" + p.to_string();
 
-    mc::ExploreOptions full;
-    full.max_states = kStateCap;
-    const auto full_out = mc::enumerate_outcomes(p, full);
-    if (full_out.stats.truncated) continue;
+    mc::ExploreOptions capped;
+    capped.max_states = kStateCap;
+    const testing::Finals full = testing::finals_by_oracle(p, nullptr, capped);
+    if (full.stats.truncated) continue;
     ++checked;
-    const auto full_fps = mc::collect_final_executions(p, full);
     const bool full_race_free =
-        !o.allow_nonatomic || mc::check_race_free(p, full).race_free;
+        !o.allow_nonatomic || mc::check_race_free(p, capped).race_free;
 
     mc::ExploreOptions dopts;
     dopts.por = mc::kDefaultPor;
-    EXPECT_EQ(mc::enumerate_outcomes(p, dopts).outcomes, full_out.outcomes)
+    EXPECT_EQ(mc::enumerate_outcomes(p, dopts).outcomes, full.outcomes)
         << tag;
-    EXPECT_EQ(mc::collect_final_executions(p, dopts), full_fps) << tag;
+    EXPECT_EQ(mc::collect_final_executions(p, dopts), full.fingerprints)
+        << tag;
     if (o.allow_nonatomic) {
       EXPECT_EQ(mc::check_race_free(p, dopts).race_free, full_race_free)
           << tag;
@@ -274,9 +280,10 @@ TEST(DporFuzz, ConflictHeavyDrawsAgreeWithFullExploration) {
       popts.explore.por = mc::kDefaultPor;
       popts.workers = 4;
       EXPECT_EQ(mc::enumerate_outcomes_parallel(p, popts).outcomes,
-                full_out.outcomes)
+                full.outcomes)
           << tag << "(4 workers)";
-      EXPECT_EQ(mc::collect_final_executions_parallel(p, popts), full_fps)
+      EXPECT_EQ(mc::collect_final_executions_parallel(p, popts),
+                full.fingerprints)
           << tag << "(4 workers)";
       if (o.allow_nonatomic) {
         EXPECT_EQ(mc::check_race_free_parallel(p, popts).race_free,

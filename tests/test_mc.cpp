@@ -3,6 +3,7 @@
 // explorer's agreement with the sequential one.
 #include <gtest/gtest.h>
 
+#include "helpers.hpp"
 #include "lang/builder.hpp"
 #include "lang/parser.hpp"
 #include "mc/checker.hpp"
@@ -163,20 +164,56 @@ TEST(Checker, CollectFinalExecutionsDistinguishesMoOrders) {
   EXPECT_EQ(keys.size(), 2u);
 }
 
-TEST(Checker, TauCompressionPreservesOutcomes) {
+TEST(Checker, FinalStateQueriesFuseSilentSteps) {
+  // The outcome, reachability and final-execution queries read terminated
+  // configurations only, so they fuse silent steps into the step before
+  // them even when the caller's step.tau_compress is off. The invariant
+  // and race queries observe every visited state and keep each silent
+  // step its own transition.
   const auto parsed = lang::parse_litmus(R"(litmus TC
 var x = 0
 var y = 0
 thread 1 { x := 1; r0 := y; }
 thread 2 { y := 1; r1 := x; }
+exists (1:r0 == 5)
 )");
-  ExploreOptions plain;
-  ExploreOptions compressed;
-  compressed.step.tau_compress = true;
-  const auto o1 = enumerate_outcomes(parsed.program, plain);
-  const auto o2 = enumerate_outcomes(parsed.program, compressed);
-  EXPECT_EQ(o1.outcomes, o2.outcomes);
-  EXPECT_LT(o2.stats.states, o1.stats.states);
+  const lang::Program& p = parsed.program;
+  ExploreOptions fused;
+  fused.step.tau_compress = true;
+  const ExploreOptions unfused;
+  const std::size_t fused_states = explore(p, fused, {}).stats.states;
+  const std::size_t unfused_states = explore(p, unfused, {}).stats.states;
+  ASSERT_LT(fused_states, unfused_states);
+  const testing::Finals oracle = testing::finals_by_oracle(p);
+  ParallelOptions popts;
+  popts.explore = unfused;
+  popts.workers = 2;
+
+  const OutcomeResult out = enumerate_outcomes(p, unfused);
+  EXPECT_EQ(out.stats.states, fused_states);
+  EXPECT_EQ(out.outcomes, oracle.outcomes);
+  const OutcomeResult par_out = enumerate_outcomes_parallel(p, popts);
+  EXPECT_EQ(par_out.stats.states, fused_states);
+  EXPECT_EQ(par_out.outcomes, oracle.outcomes);
+
+  // Unreachable, so both searches run to the end.
+  const ReachabilityResult reach =
+      check_reachable(p, parsed.condition, unfused);
+  EXPECT_FALSE(reach.reachable);
+  EXPECT_EQ(reach.stats.states, fused_states);
+  const ReachabilityResult par_reach =
+      check_reachable_parallel(p, parsed.condition, popts);
+  EXPECT_FALSE(par_reach.reachable);
+  EXPECT_EQ(par_reach.stats.states, fused_states);
+
+  EXPECT_EQ(collect_final_executions(p, unfused), oracle.fingerprints);
+  EXPECT_EQ(collect_final_executions_parallel(p, popts), oracle.fingerprints);
+
+  // Asked to fuse, the invariant query still keeps every silent step.
+  const auto invariant = check_invariant(
+      p, [](const interp::Config&) { return true; }, fused);
+  EXPECT_EQ(invariant.stats.states, unfused_states);
+  EXPECT_EQ(check_race_free(p, unfused).stats.states, unfused_states);
 }
 
 TEST(Parallel, AgreesWithSequentialInvariant) {

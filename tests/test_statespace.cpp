@@ -79,16 +79,43 @@ TEST(SeenSet, InsertDedupAndParentRecords) {
 }
 
 TEST(SeenSet, GrowsPastInitialCapacity) {
+  // 50,000 records run past the first 32,704, which the doubling record
+  // pages hold, into the 16 Ki-record pages after them.
   SeenSet seen;
   constexpr std::uint64_t kN = 50'000;
+  const auto parent_of = [](std::uint64_t i) {
+    return i == 0 ? kNoState : StateId{i / 2};
+  };
+  const auto step_of = [](std::uint64_t i) {
+    return static_cast<std::uint32_t>(i * 7 + 3);
+  };
   for (std::uint64_t i = 0; i < kN; ++i) {
-    EXPECT_TRUE(seen.insert(fp_of(i)).inserted);
+    const InsertResult r = seen.insert(fp_of(i), parent_of(i), step_of(i));
+    ASSERT_TRUE(r.inserted) << i;
+    ASSERT_EQ(r.id, i);
   }
   EXPECT_EQ(seen.size(), kN);
   for (std::uint64_t i = 0; i < kN; ++i) {
-    EXPECT_FALSE(seen.insert(fp_of(i)).inserted);
+    const InsertResult dup = seen.insert(fp_of(i), 0, 0);
+    ASSERT_FALSE(dup.inserted) << i;
+    ASSERT_EQ(dup.id, i);
+    const StateRecord& rec = seen.record(i);
+    ASSERT_EQ(rec.fp, fp_of(i)) << i;
+    ASSERT_EQ(rec.parent, parent_of(i)) << i;
+    ASSERT_EQ(rec.step, step_of(i)) << i;
   }
   EXPECT_GT(seen.bytes(), kN * sizeof(StateRecord));
+}
+
+TEST(SeenSet, FootprintAtPetersonLoopBound30) {
+  // Peterson at loop bound 30 visits 103,281 states. The table holds
+  // 262,144 four-byte slots (the 50% load cap: 1,048,576 bytes) and 14
+  // record pages, nine doubling from 64 to 16 Ki records and then five of
+  // 16 Ki: 114,624 records of 32 bytes (3,667,968 bytes). The page table
+  // holds 16 pointers (128 bytes).
+  SeenSet seen;
+  for (std::uint64_t i = 0; i < 103'281; ++i) (void)seen.insert(fp_of(i));
+  EXPECT_EQ(seen.bytes(), 4'716'672u);
 }
 
 TEST(ConcurrentSeenSet, ParallelInsertionsAgree) {
@@ -237,8 +264,8 @@ TEST(ParallelTraces, InvariantCounterexampleReplaysToViolation) {
   ASSERT_FALSE(r.holds);
   ASSERT_FALSE(r.counterexample.empty());
 
-  interp::StepOptions sopts;  // invariant checking: no tau compression
-  const auto final_config = replay_trace(p, r.counterexample, sopts);
+  EXPECT_FALSE(r.counterexample.tau_compress);  // invariants see every pc
+  const auto final_config = replay_trace(p, r.counterexample);
   ASSERT_TRUE(final_config.has_value()) << "trace does not replay";
   EXPECT_FALSE(invariant(*final_config))
       << "replayed trace does not violate the invariant";
@@ -259,8 +286,10 @@ exists (1:r0 == 0 && 2:r1 == 0)
   ASSERT_TRUE(r.reachable);
   ASSERT_FALSE(r.witness.empty());
 
-  const auto final_config =
-      replay_trace(parsed.program, r.witness, popts.explore.step);
+  // The query fused silent steps; the witness says so, and replays
+  // without any step options from the caller.
+  EXPECT_TRUE(r.witness.tau_compress);
+  const auto final_config = replay_trace(parsed.program, r.witness);
   ASSERT_TRUE(final_config.has_value()) << "witness does not replay";
   EXPECT_TRUE(final_config->terminated());
   EXPECT_TRUE(interp::eval_cond(parsed.condition, *final_config));

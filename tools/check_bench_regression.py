@@ -5,7 +5,7 @@ Compares a freshly produced BENCH_*.json (bench/bench_report.hpp format)
 against the checked-in baseline and fails when a gated metric regresses by
 more than its threshold.
 
-Three kinds of gates:
+Four kinds of gates:
 
   * higher-is-better (default; e.g. states_per_sec): fails when the
     current value drops more than `--threshold` below baseline.
@@ -23,6 +23,11 @@ Three kinds of gates:
     phase got faster or everything around it got slower, someone should
     look. Ratio gates misbehave near zero shares; an absolute band does
     not.
+  * exact (suffix `:exact`; e.g. states): fails on any difference from
+    baseline, in either direction. Made for deterministic counters
+    (verdicts, state and transition counts, outcome counts): they do not
+    depend on the host, so any change is a change in what the search
+    did, and the baseline must be regenerated with it.
 
 Absolute states/sec varies with the host, so the throughput threshold is
 deliberately loose — this is a smoke gate against large regressions (an
@@ -35,7 +40,7 @@ Usage:
   check_bench_regression.py --current build/BENCH_mc_scaling.json \
       --baseline bench/baseline/BENCH_mc_scaling.json \
       [--gate states_per_sec --gate peak_seen_bytes:lower \
-       --gate phase_share_push_event:band] \
+       --gate phase_share_push_event:band --gate states:exact] \
       [--threshold 0.30] [--lower-threshold 0.10] [--band-threshold 0.15]
 
   check_bench_regression.py --self-test   # fixture-based sanity check
@@ -62,11 +67,11 @@ DEFAULT_GATES = [
 
 
 def parse_gate(spec):
-    """'metric'[':lower'|':band'] -> (metric, mode).
+    """'metric'[':lower'|':band'|':exact'] -> (metric, mode).
 
-    mode is 'higher' (default), 'lower', or 'band'.
+    mode is 'higher' (default), 'lower', 'band', or 'exact'.
     """
-    for suffix in (":lower", ":band"):
+    for suffix in (":lower", ":band", ":exact"):
         if spec.endswith(suffix):
             return spec[: -len(suffix)], suffix[1:]
     return spec, "higher"
@@ -103,6 +108,15 @@ def check(current, baseline, gates, threshold, lower_threshold,
             ratio = cur / base if base > 0 else float("inf")
             compared += 1
             status = "OK"
+            if mode == "exact":
+                if cur != base:
+                    status = "CHANGED"
+                    failures.append(
+                        f"{name}: {metric} {cur:,} vs baseline {base:,} "
+                        f"(exact gate)")
+                print(f"{status:>10}  {name}.{metric}: {cur:,} vs {base:,}",
+                      file=out)
+                continue
             if mode == "band":
                 delta = cur - base
                 if abs(delta) > band_threshold:
@@ -131,7 +145,7 @@ def check(current, baseline, gates, threshold, lower_threshold,
 
 
 def self_test() -> int:
-    """Exercises both gate directions against an inline fixture."""
+    """Exercises every gate kind against inline fixtures."""
     baseline = {
         "bench/2": {"states_per_sec": 100000.0, "peak_seen_bytes": 1000000.0},
         "bench/3": {"states_per_sec": 200000.0, "peak_seen_bytes": 2000000.0},
@@ -193,15 +207,37 @@ def self_test() -> int:
         ("band-small-share-ratio-noise", shares(0.26, 0.39, 0.11), 0),
     ]
 
+    # Exact gates on deterministic counters: any difference fails, a
+    # drop as much as a rise, and a float equal to the baseline's integer
+    # passes (JSON counters may come back as 72.0).
+    exact_gates = ["pass:exact", "states:exact", "outcomes:exact"]
+    exact_series = "litmus/CoRR2"
+
+    def counters(pass_, states, outcomes):
+        return {exact_series: {"pass": pass_, "states": states,
+                               "outcomes": outcomes}}
+
+    exact_baseline = counters(1, 281, 72)
+    exact_cases = [
+        ("exact-equal", counters(1.0, 281.0, 72.0), 0),
+        ("exact-drop", counters(1, 280, 72), 1),
+        ("exact-rise", counters(1, 281, 73), 1),
+        ("exact-verdict-flip", counters(0, 281, 72), 1),
+    ]
+
     ok = True
     sink = tempfile.TemporaryFile(mode="w+")
     all_cases = (
-        [(n, cur, baseline, *rest) for (n, cur, *rest) in cases] +
-        [(n, cur, band_baseline, *rest) for (n, cur, *rest) in band_cases])
-    for name, current, case_baseline, expect, *rest in all_cases:
+        [(n, cur, baseline, DEFAULT_GATES, *rest)
+         for (n, cur, *rest) in cases] +
+        [(n, cur, band_baseline, DEFAULT_GATES, *rest)
+         for (n, cur, *rest) in band_cases] +
+        [(n, cur, exact_baseline, exact_gates, *rest)
+         for (n, cur, *rest) in exact_cases])
+    for name, current, case_baseline, gates, expect, *rest in all_cases:
         expect_skipped = rest[0] if rest else 0
         compared, failures, skipped = check(current, case_baseline,
-                                            DEFAULT_GATES,
+                                            gates,
                                             threshold=0.30,
                                             lower_threshold=0.10,
                                             band_threshold=0.15,
@@ -228,8 +264,9 @@ def main() -> int:
     ap.add_argument("--baseline")
     ap.add_argument("--gate", action="append", default=None,
                     help="metric to gate; append ':lower' for "
-                         "lower-is-better or ':band' for two-sided "
-                         "absolute drift (repeatable; default: "
+                         "lower-is-better, ':band' for two-sided "
+                         "absolute drift or ':exact' for no change at all "
+                         "(repeatable; default: "
                          + " ".join(DEFAULT_GATES) + ")")
     ap.add_argument("--threshold", type=float, default=0.30,
                     help="maximum tolerated relative regression for "
