@@ -63,7 +63,8 @@ void tau_compression_ablation(benchmark::State& state) {
   const lang::Program p = lang::parse_litmus(
       litmus::find_test("CoRR2").source).program;
   mc::ExploreOptions opts;
-  opts.step.tau_compress = tau;
+  opts.step.tau_compress =
+      tau ? interp::TauCompress::kFused : interp::TauCompress::kEveryStep;
   std::size_t states = 0;
   for (auto _ : state) {
     const mc::ExploreResult r = mc::explore(p, opts, {});

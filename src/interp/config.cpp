@@ -112,11 +112,6 @@ void write_register(RegFile& file, lang::RegId r, Value v) {
   file[r] = v;
 }
 
-/// Greedily applies deterministic silent / register steps of every thread.
-/// Loop unfoldings are NOT compressed: they are bounded and branch the
-/// search, so they must remain visible transitions. Everything else that is
-/// silent commutes with all other threads' steps because it touches no
-/// shared state.
 c11::Action fence_action(lang::FenceMode m) {
   switch (m) {
     case lang::FenceMode::kAcquire:
@@ -139,27 +134,41 @@ bool sc_push_ok(const c11::Execution& next) {
   return c11::check_sc(next, c11::compute_derived(next));
 }
 
-void apply_tau_compression(Config& c) {
+/// Greedily applies, for every thread, the pending steps granularity `g`
+/// fuses: its deterministic silent / register steps under kFused, its
+/// stutters under kStutterFree. Loop unfoldings are never fused: they are
+/// bounded and branch the search, so they must remain visible transitions.
+/// Everything else that is silent commutes with all other threads' steps
+/// because it touches no shared state. The from-scratch drain behind
+/// successors(): it decides a stutter by building the step and comparing
+/// pcs and termination, which lang::is_stutter decides without building.
+void apply_tau_compression(Config& c, TauCompress g) {
   bool changed = true;
   while (changed) {
     changed = false;
     for (ThreadId t = 1; t <= c.thread_count(); ++t) {
-      if (stepping_node_kind(c.cont[t - 1]) == lang::ComKind::kWhile) {
-        continue;
-      }
-      auto s = lang::step(c.cont[t - 1], c.regs[t - 1]);
+      const ComPtr k = c.cont[t - 1];
+      if (stepping_node_kind(k) == lang::ComKind::kWhile) continue;
+      auto s = lang::step(k, c.regs[t - 1]);
       if (!s) continue;
       if (auto* sil = std::get_if<lang::SilentStep>(&*s)) {
+        if (g == TauCompress::kStutterFree &&
+            (lang::leading_label(sil->next, kDonePc) !=
+                 lang::leading_label(k, kDonePc) ||
+             lang::is_terminated(sil->next) != lang::is_terminated(k))) {
+          continue;
+        }
         c.cont[t - 1] = sil->next;
         changed = true;
-      } else if (auto* rw = std::get_if<lang::RegWriteStep>(&*s)) {
+      } else if (auto* rw = std::get_if<lang::RegWriteStep>(&*s);
+                 rw != nullptr && g == TauCompress::kFused) {
         write_register(c.regs[t - 1], rw->reg, rw->value);
         c.cont[t - 1] = rw->next;
         changed = true;
       }
     }
   }
-  c.tau_normal = true;
+  c.tau_normal = g;
 }
 
 }  // namespace
@@ -173,10 +182,10 @@ std::vector<ConfigStep> successors(const Config& c, const StepOptions& opts) {
     if (!s) continue;
 
     auto finish = [&](ConfigStep step) {
-      if (opts.tau_compress) {
-        apply_tau_compression(step.next);
+      if (opts.tau_compress != TauCompress::kEveryStep) {
+        apply_tau_compression(step.next, opts.tau_compress);
       } else {
-        step.next.tau_normal = false;
+        step.next.tau_normal = TauCompress::kEveryStep;
       }
       out.push_back(std::move(step));
     };
@@ -445,6 +454,16 @@ void enumerate_steps(Config& c, const StepOptions& opts,
 
 namespace {
 
+/// True iff granularity g fuses a thread's next step into the step before
+/// it. Decided by peeking, so the step that ends a drain builds no
+/// continuation.
+bool fuses_next(TauCompress g, const ComPtr& k, const RegFile& regs) {
+  if (g == TauCompress::kStutterFree) return lang::is_stutter(k, regs, kDonePc);
+  const lang::StepPeek pk = lang::peek_step(k, regs);
+  return !pk.loop_unfold && (pk.kind == lang::PeekKind::kSilent ||
+                             pk.kind == lang::PeekKind::kRegWrite);
+}
+
 void ensure_saved(Config& c, StepUndo* undo, ThreadId u) {
   if (undo == nullptr) return;
   for (auto& snap : undo->saved) {
@@ -498,28 +517,25 @@ void apply_thread_half_impl(Config& c, const Step& s, const StepOptions& opts,
     }
   }
 
-  if (opts.tau_compress) {
+  const TauCompress g = opts.tau_compress;
+  if (g != TauCompress::kEveryStep) {
     // Same fixpoint as apply_tau_compression, computed thread-locally: a
     // thread's silent / register steps depend only on its own continuation
     // and registers, so each thread can be drained to exhaustion in one
-    // pass (no global re-rounds). First-touch snapshots make the
-    // compression undo exactly.
+    // pass (no global re-rounds). First-touch snapshots make the drain
+    // undo exactly.
     //
-    // When the config is already in tau-normal form only the acting thread
-    // can have gained silent steps (the apply touched no other thread's
-    // continuation or registers), so the drain is O(1) threads, not
-    // O(thread_count) — the common case along every exploration spine.
+    // When the config is already drained at this granularity only the
+    // acting thread can have gained fusible steps (the apply touched no
+    // other thread's continuation or registers), so the drain is O(1)
+    // threads, not O(thread_count) — the common case along every
+    // exploration spine.
     const auto drain = [&](ThreadId u) {
-      while (true) {
-        // Peek first: the loop's exit iteration (a memory step, a bounded
-        // unfold, or termination) would otherwise pay a full step() — with
-        // its continuation allocations — just to discard it.
-        const lang::StepPeek pk = lang::peek_step(c.cont[u - 1],
-                                                  c.regs[u - 1]);
-        if (pk.loop_unfold || (pk.kind != lang::PeekKind::kSilent &&
-                               pk.kind != lang::PeekKind::kRegWrite)) {
-          break;
-        }
+      // fuses_next peeks: the loop's exit iteration (a memory step, a
+      // pc-changing silent step, a bounded unfold, or termination) would
+      // otherwise pay a full step() — with its continuation allocations —
+      // just to discard it.
+      while (fuses_next(g, c.cont[u - 1], c.regs[u - 1])) {
         auto tv = lang::step(c.cont[u - 1], c.regs[u - 1]);
         assert(tv.has_value());
         if (auto* sil = std::get_if<lang::SilentStep>(&*tv)) {
@@ -534,15 +550,13 @@ void apply_thread_half_impl(Config& c, const Step& s, const StepOptions& opts,
         }
       }
     };
-    if (c.tau_normal) {
+    if (c.tau_normal >= g) {
       drain(t);
     } else {
       for (ThreadId u = 1; u <= c.thread_count(); ++u) drain(u);
-      c.tau_normal = true;
     }
-  } else {
-    c.tau_normal = false;
   }
+  c.tau_normal = g;
 }
 
 /// The memory half of a step: its push_event, if it has one.

@@ -38,18 +38,38 @@ using lang::Value;
 /// pc value reported for a terminated / unlabeled continuation.
 inline constexpr int kDonePc = 0;
 
+/// How finely a search interleaves the silent steps a thread takes between
+/// its memory steps: the step granularity of StepOptions::tau_compress.
+/// Loop unfoldings are never fused at any granularity: they are bounded and
+/// must branch the search.
+enum class TauCompress : std::uint8_t {
+  /// Every silent and register step is a transition of its own.
+  kEveryStep,
+  /// Stutters (lang::is_stutter: silent steps that keep the thread's pc and
+  /// termination) fuse into the step before them. Register writes,
+  /// pc-changing silent steps and unfoldings stay transitions, so every
+  /// pc, register, unfold count and termination an every-step search
+  /// reaches is still reached (src/mc/README.md gives the argument).
+  kStutterFree,
+  /// Every deterministic silent and register step fuses into the step
+  /// before it (tau compression). Sound for terminated configurations and
+  /// for memory-visible states, not for intermediate pcs or registers.
+  kFused,
+};
+
 struct Config {
   const Program* program = nullptr;
   std::vector<ComPtr> cont;       ///< continuation of thread t at [t-1]
   std::vector<RegFile> regs;      ///< register file of thread t at [t-1]
   std::vector<int> unfoldings;    ///< while-unfold count of thread t
   Execution exec;
-  /// True iff every thread's silent/register steps are drained (tau-normal
-  /// form). Lets apply_step's compression pass drain only the acting
-  /// thread: silent steps depend solely on the thread's own continuation
-  /// and registers, and an apply changes no other thread's. Derived state,
-  /// excluded from key/fingerprint.
-  bool tau_normal = false;
+  /// The coarsest granularity at which every thread is drained: no thread
+  /// has a pending step that granularity fuses (kEveryStep claims nothing;
+  /// a kFused drain leaves no stutter either). Lets apply_step's drain
+  /// visit only the acting thread: silent steps depend solely on the
+  /// thread's own continuation and registers, and an apply changes no other
+  /// thread's. Derived state, excluded from key/fingerprint.
+  TauCompress tau_normal = TauCompress::kEveryStep;
   /// Static program scan (set once by initial_config; lang::scan_sc_features).
   /// With `has_sc`, every enumerated memory step is psc-filtered — an
   /// enabled transition must keep the Sc axiom satisfiable.
@@ -108,14 +128,12 @@ struct StepOptions {
   /// (bounded exploration). Negative = unbounded.
   int loop_bound = -1;
 
-  /// Fast-forward deterministic silent/register steps after each visible
-  /// step (tau compression; loop unfoldings stay steps of their own). Sound
-  /// for reachability of memory-visible states; disable when intermediate
-  /// pcs matter (invariant checking). Read by successors and apply_step
-  /// here and by mc::explore / mc::explore_from; the mc queries set it
-  /// themselves: the final-state queries and DPOR turn it on, the
-  /// invariant queries off (mc/checker.hpp).
-  bool tau_compress = false;
+  /// Which silent steps fuse into the step before them (see TauCompress).
+  /// Read by successors and apply_step here and by mc::explore /
+  /// mc::explore_from. The mc queries set it themselves (mc/checker.hpp):
+  /// the final-state queries and DPOR fuse, the invariant queries run
+  /// stutter-free; the race queries keep the caller's value.
+  TauCompress tau_compress = TauCompress::kEveryStep;
 };
 
 /// All enabled transitions from c under the RA event semantics. This is
@@ -182,8 +200,8 @@ struct StepUndo {
 
   /// Config::tau_normal before the apply; undo restores it (an apply can
   /// both establish the form — the initial full drain — and destroy it —
-  /// a step taken without compression).
-  bool prev_tau_normal = false;
+  /// a step taken at a finer granularity).
+  TauCompress prev_tau_normal = TauCompress::kEveryStep;
 };
 
 /// Appends every enabled transition of c to `out` (cleared first), in the
@@ -193,9 +211,10 @@ struct StepUndo {
 void enumerate_steps(Config& c, const StepOptions& opts,
                      std::vector<Step>& out);
 
-/// Applies one enumerated step to c in place (including tau compression
-/// when opts.tau_compress is set, mirroring successors()). Returns the
-/// appended event (kNoEvent for silent steps).
+/// Applies one enumerated step to c in place, then drains the steps
+/// opts.tau_compress fuses, mirroring successors(): the acting thread's,
+/// or every thread's while c is not yet drained at that granularity.
+/// Returns the appended event (kNoEvent for silent steps).
 EventId apply_step(Config& c, const Step& s, const StepOptions& opts,
                    StepUndo& undo);
 

@@ -108,7 +108,7 @@ std::vector<ConfigStep> pe_successors(const Config& c,
       step.next.cont[t - 1] = std::move(next);
       // Direct continuation surgery: the copied config may no longer be in
       // tau-normal form (and the pre-execution engine never drains it).
-      step.next.tau_normal = false;
+      step.next.tau_normal = TauCompress::kEveryStep;
       step.thread = t;
       return step;
     };

@@ -472,6 +472,59 @@ StepPeek peek_step(const ComPtr& c, const RegFile& regs) {
   return {};
 }
 
+namespace {
+
+/// What a stutter test reads of a command: its leading label (kNoLabel
+/// when none) and whether it has terminated.
+struct Shape {
+  int lead = kNoLabel;
+  bool terminated = false;
+};
+
+Shape shape_of(const ComPtr& c) {
+  return {leading_label(c, kNoLabel), is_terminated(c)};
+}
+
+/// The shape of the continuation step() gives c when that step is silent
+/// and no loop unfolding, derived by the rules step() builds it with
+/// (seq_wrap, label_rewrap) without building it; nullopt otherwise.
+std::optional<Shape> silent_next_shape(const ComPtr& c, const RegFile& regs) {
+  switch (c->kind) {
+    case ComKind::kLabel: {
+      const auto k = silent_next_shape(c->c1, regs);
+      if (!k || k->terminated || k->lead != kNoLabel) return k;
+      return Shape{c->label, false};  // label_rewrap keeps the label
+    }
+    case ComKind::kSeq: {
+      if (is_terminated(c->c1)) return shape_of(c->c2);
+      const auto k = silent_next_shape(c->c1, regs);
+      if (!k) return k;
+      const Shape rest = shape_of(c->c2);
+      return Shape{k->lead != kNoLabel ? k->lead : rest.lead,
+                   k->terminated && rest.terminated};
+    }
+    case ComKind::kIf: {
+      const PeekEval ev = peek_eval(c->expr, regs);
+      if (ev.read) return std::nullopt;
+      return shape_of(ev.value != 0 ? c->c1 : c->c2);
+    }
+    default:
+      return std::nullopt;
+  }
+}
+
+}  // namespace
+
+bool is_stutter(const ComPtr& c, const RegFile& regs, int done_pc) {
+  const auto next = silent_next_shape(c, regs);
+  if (!next) return false;
+  const Shape now = shape_of(c);
+  const auto pc = [done_pc](const Shape& s) {
+    return s.lead == kNoLabel ? done_pc : s.lead;
+  };
+  return pc(now) == pc(*next) && now.terminated == next->terminated;
+}
+
 std::string Com::to_string(const c11::VarTable* vars) const {
   switch (kind) {
     case ComKind::kSkip:

@@ -226,6 +226,15 @@ struct StepPeek {
 
 [[nodiscard]] StepPeek peek_step(const ComPtr& c, const RegFile& regs);
 
+/// True iff C's step is a *stutter*: a silent step, not a loop unfolding,
+/// whose continuation keeps C's pc (leading_label with `done_pc`) and C's
+/// termination. Such a step changes nothing an invariant over pcs,
+/// registers and memory can read. Decided like peek_step, without building
+/// the continuation; test_lang checks it against step() wherever the
+/// peek_step cross-check walks.
+[[nodiscard]] bool is_stutter(const ComPtr& c, const RegFile& regs,
+                              int done_pc = 0);
+
 /// True iff the command is (modulo labels) skip.
 [[nodiscard]] bool is_terminated(const ComPtr& c);
 

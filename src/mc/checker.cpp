@@ -7,7 +7,9 @@ namespace rc11::mc {
 InvariantResult check_invariant(const lang::Program& program,
                                 const ConfigPredicate& invariant,
                                 ExploreOptions options) {
-  options.step.tau_compress = false;  // intermediate pcs must be visible
+  // Every pc, register and unfold count must stay visible; stutters change
+  // none of them (src/mc/README.md, "Stutter-free invariant search").
+  options.step.tau_compress = interp::TauCompress::kStutterFree;
   // DPOR preserves terminated states and race reports but may skip
   // intermediate global states, which an arbitrary invariant can observe;
   // downgrade to the state-preserving sleep-set reduction.
@@ -30,7 +32,8 @@ InvariantResult check_invariant(const lang::Program& program,
 ReachabilityResult check_reachable(const lang::Program& program,
                                    const lang::CondPtr& cond,
                                    ExploreOptions options) {
-  options.step.tau_compress = true;  // reads terminated states only
+  // Reads terminated states only.
+  options.step.tau_compress = interp::TauCompress::kFused;
   ReachabilityResult result;
   Visitor visitor;
   visitor.on_final = [&](const interp::Config& c) {
@@ -82,7 +85,8 @@ Outcome outcome_of(const interp::Config& c, const lang::Program& program) {
 
 OutcomeResult enumerate_outcomes(const lang::Program& program,
                                  ExploreOptions options) {
-  options.step.tau_compress = true;  // reads terminated states only
+  // Reads terminated states only.
+  options.step.tau_compress = interp::TauCompress::kFused;
   OutcomeResult result;
   Visitor visitor;
   visitor.on_final = [&](const interp::Config& c) {
@@ -141,7 +145,8 @@ RaceResult check_race_free(const lang::Program& program,
 
 std::set<util::Fingerprint> collect_final_executions(
     const lang::Program& program, ExploreOptions options) {
-  options.step.tau_compress = true;  // reads terminated states only
+  // Reads terminated states only.
+  options.step.tau_compress = interp::TauCompress::kFused;
   std::set<util::Fingerprint> keys;
   Visitor visitor;
   visitor.on_final = [&](const interp::Config& c) {

@@ -10,17 +10,20 @@
 //    executions (consumed by the axiomatic equivalence checker).
 //  * check_race_free — data-race freedom (extension).
 //
-// Step granularity. Silent steps (skip elimination, guard resolution and
-// register assignments) touch no memory, so they commute with every other
-// thread's step. check_reachable, enumerate_outcomes and
-// collect_final_executions read terminated configurations only, which
-// cannot tell a search that fuses silent steps into the step before them
-// from one that interleaves them: they set options.step.tau_compress
-// themselves, on every engine, and visit far fewer states. check_invariant
-// forces it off, since an invariant may read any pc. check_race_free
-// honours the caller's setting, whose default keeps every silent step,
-// except under DPOR, which always fuses (dpor.hpp). Loop unfoldings are
-// never fused (they are bounded and must branch).
+// Step granularity (options.step.tau_compress, interp::TauCompress).
+// Silent steps (skip elimination, guard resolution and register
+// assignments) touch no memory, so they commute with every other thread's
+// step. check_reachable, enumerate_outcomes and collect_final_executions
+// read terminated configurations only, which cannot tell a search that
+// fuses silent steps into the step before them from one that interleaves
+// them: they set kFused themselves, on every engine, and visit far fewer
+// states. check_invariant sets kStutterFree: it fuses only stutters,
+// silent steps that keep the thread's pc and termination, so every pc,
+// register, unfold count and termination an invariant may read is still
+// reached (src/mc/README.md, "Stutter-free invariant search").
+// check_race_free honours the caller's setting, whose default keeps every
+// silent step, except under DPOR, which always fuses (dpor.hpp). Loop
+// unfoldings are never fused (they are bounded and must branch).
 #pragma once
 
 #include <map>
@@ -33,6 +36,10 @@
 
 namespace rc11::mc {
 
+/// An invariant over configurations. It may read each thread's pc
+/// (Config::pc), registers, unfold count and termination, and the
+/// execution. It may not read the shape of a continuation: the invariant
+/// queries fuse stutters, which change that shape and nothing else.
 using ConfigPredicate = std::function<bool(const interp::Config&)>;
 
 struct InvariantResult {
@@ -42,11 +49,13 @@ struct InvariantResult {
 };
 
 /// Checks `invariant` at every reachable configuration (bounded by
-/// options.step.loop_bound if set). tau compression is forced OFF so that
-/// intermediate pcs are observed; the counterexample replays at that
-/// granularity. DPOR is downgraded to sleep sets:
-/// invariants observe intermediate global states, which only the
-/// state-preserving reduction keeps intact.
+/// options.step.loop_bound if set). The search runs stutter-free
+/// (interp::TauCompress::kStutterFree, whatever options.step.tau_compress
+/// says): it reaches every visible part a search at every step reaches,
+/// in about half the states on Peterson. The counterexample records that
+/// granularity and replays with replay_trace alone. DPOR is downgraded to
+/// sleep sets: invariants observe intermediate global states, which only
+/// the state-preserving reduction keeps intact.
 [[nodiscard]] InvariantResult check_invariant(const lang::Program& program,
                                               const ConfigPredicate& invariant,
                                               ExploreOptions options = {});
@@ -58,7 +67,7 @@ struct ReachabilityResult {
 };
 
 /// Searches for a terminated configuration satisfying `cond`, with silent
-/// steps fused (tau compression forced ON); the witness records that
+/// steps fused (kFused, whatever the caller set); the witness records that
 /// granularity and replays with replay_trace alone.
 [[nodiscard]] ReachabilityResult check_reachable(const lang::Program& program,
                                                  const lang::CondPtr& cond,
@@ -85,14 +94,14 @@ struct OutcomeResult {
                                  const lang::Program& program);
 
 /// All distinct final observations of the program, with silent steps
-/// fused (tau compression forced ON).
+/// fused (kFused, whatever the caller set).
 [[nodiscard]] OutcomeResult enumerate_outcomes(const lang::Program& program,
                                                ExploreOptions options = {});
 
 /// Canonical-form fingerprints of every reachable terminated
-/// configuration's execution, with silent steps fused (tau compression
-/// forced ON). With `pre_execution`, fingerprints of the ==>_PE semantics
-/// instead, whose search never fuses silent steps.
+/// configuration's execution, with silent steps fused (kFused, whatever
+/// the caller set). With `pre_execution`, fingerprints of the ==>_PE
+/// semantics instead, whose search never fuses silent steps.
 [[nodiscard]] std::set<util::Fingerprint> collect_final_executions(
     const lang::Program& program, ExploreOptions options = {});
 
@@ -102,8 +111,8 @@ struct OutcomeResult {
 /// The race is found at a visited state, which the search counts (stats
 /// include it) and `trace` leads to. With stats.truncated set and no race
 /// found, the verdict is unknown, not race free. Runs at the caller's
-/// step granularity (options.step.tau_compress, off by default), or
-/// fused under DPOR.
+/// step granularity (options.step.tau_compress, every step by default),
+/// or fused under DPOR.
 struct RaceResult {
   bool race_free = true;
   std::string race;  ///< description of the first race found

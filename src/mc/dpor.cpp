@@ -533,7 +533,8 @@ void prepare_node(Engine& eng, Node& n, interp::Config& config) {
 /// are rendered here, on the cold path — the hot path only records steps.
 Trace spine_trace(const Node* n) {
   Trace t;
-  t.tau_compress = true;  // the engine's granularity (explore_dpor)
+  // The engine's granularity (explore_dpor).
+  t.tau_compress = interp::TauCompress::kFused;
   for (const Node* p = n; p->depth > 0; p = p->parent.get()) {
     t.entries.push_back(make_entry(p->in_step));
   }
@@ -1010,7 +1011,7 @@ ExploreResult explore_dpor(const interp::Config& start,
   // and must branch). Invisible transitions are never scheduling points in
   // DPOR; this is what makes the reduction bite on register-heavy litmus
   // programs. Returned traces record this granularity.
-  eng.options.step.tau_compress = true;
+  eng.options.step.tau_compress = interp::TauCompress::kFused;
 
   obs::PhaseProfile profile_base;
   if (options.telemetry != nullptr) profile_base = options.telemetry->profile();

@@ -79,7 +79,7 @@ namespace rc11::mc {
 /// thread-safe; `worker_stats`, when non-null, receives per-worker
 /// counters.
 ///
-/// The engine always forces step.tau_compress = true: scheduling points
+/// The engine always forces step.tau_compress = kFused: scheduling points
 /// are visible (memory) steps; deterministic silent/register steps are
 /// fused into the preceding transition (loop unfoldings stay visible).
 /// Every query runs at this granularity under DPOR, the race query

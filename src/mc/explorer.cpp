@@ -57,7 +57,8 @@ ExploreResult explore_materialized(const interp::Config& start,
   auto build_trace = [&options](const std::vector<MatFrame>& stack) {
     Trace t;
     // pe_successors never drains silent steps.
-    t.tau_compress = options.step.tau_compress && !options.pre_execution;
+    t.tau_compress = options.pre_execution ? interp::TauCompress::kEveryStep
+                                           : options.step.tau_compress;
     // Frame 0 is the initial configuration; its incoming entry is empty.
     for (std::size_t i = 1; i < stack.size(); ++i) {
       t.entries.push_back(stack[i].incoming);

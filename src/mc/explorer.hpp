@@ -45,8 +45,8 @@ enum class PorMode : std::uint8_t {
   /// interleaving per Mazurkiewicz trace of every maximal execution:
   /// preserves reachability verdicts on terminated states, final-state
   /// fingerprints, outcome sets and race reports — but may skip
-  /// intermediate global states, so check_invariant downgrades this mode
-  /// to kSleepSets.
+  /// intermediate global states, so the invariant queries downgrade this
+  /// mode to kSleepSets (and run stutter-free, checker.hpp).
   kSourceSetsSleep,
 };
 
@@ -55,9 +55,9 @@ enum class PorMode : std::uint8_t {
 inline constexpr PorMode kDefaultPor = PorMode::kSourceSetsSleep;
 
 /// True iff the mode runs the tree-shaped source-set DPOR engine
-/// (dpor.hpp): tau-compressed scheduling, replayable traces, preserved
-/// verdicts/finals/races but not intermediate global states (checkers
-/// downgrade it for invariant queries).
+/// (dpor.hpp): fused scheduling (interp::TauCompress::kFused), replayable
+/// traces, preserved verdicts/finals/races but not intermediate global
+/// states (checkers downgrade it for invariant queries).
 [[nodiscard]] constexpr bool is_dpor(PorMode m) {
   return m == PorMode::kSourceSetsSleep;
 }

@@ -393,7 +393,7 @@ std::size_t worker_count(const ParallelOptions& options) {
 /// The options of the final-state queries, which read terminated
 /// configurations only and so fuse silent steps (see checker.hpp).
 ExploreOptions fused(ExploreOptions options) {
-  options.step.tau_compress = true;
+  options.step.tau_compress = interp::TauCompress::kFused;
   return options;
 }
 
@@ -428,7 +428,8 @@ InvariantResult check_invariant_parallel(const lang::Program& program,
                                          const ParallelOptions& options,
                                          ParallelRunInfo* info) {
   ExploreOptions eopts = options.explore;
-  eopts.step.tau_compress = false;  // intermediate pcs must be visible
+  // Stutters change no pc, register or unfold count (as check_invariant).
+  eopts.step.tau_compress = interp::TauCompress::kStutterFree;
   // DPOR may skip intermediate global states; invariants need the
   // state-preserving reduction (same downgrade as check_invariant).
   if (is_dpor(eopts.por)) eopts.por = PorMode::kSleepSets;

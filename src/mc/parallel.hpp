@@ -29,8 +29,8 @@
 //
 // Each query explores at the granularity of its sequential counterpart
 // (checker.hpp): reachability, outcomes and final executions fuse silent
-// steps, invariants never do, and the race query honours
-// explore.step.tau_compress outside DPOR.
+// steps, invariants fuse stutters only (interp::TauCompress::kStutterFree),
+// and the race query honours explore.step.tau_compress outside DPOR.
 //
 // On a single-core host this demonstrates correctness rather than speedup;
 // bench_parallel reports the scaling measured on the build machine.
@@ -59,10 +59,11 @@ struct ParallelRunInfo {
   std::vector<WorkerStats> workers;
 };
 
-/// Parallel version of check_invariant. Returns a real counterexample
-/// trace, reconstructed from the seen set's parent pointers (violating
-/// state -> root) and replayed through enumerate_steps(); when several
-/// workers race to a violation, the first one reported wins.
+/// Parallel version of check_invariant, stutter-free like it. Returns a
+/// real counterexample trace, reconstructed from the seen set's parent
+/// pointers (violating state -> root) and replayed through
+/// enumerate_steps() at that granularity; when several workers race to a
+/// violation, the first one reported wins.
 [[nodiscard]] InvariantResult check_invariant_parallel(
     const lang::Program& program, const ConfigPredicate& invariant,
     const ParallelOptions& options = {}, ParallelRunInfo* info = nullptr);

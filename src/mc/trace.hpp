@@ -19,11 +19,11 @@ struct TraceEntry {
 
 struct Trace {
   std::vector<TraceEntry> entries;
-  /// The step granularity the trace was recorded at: true iff each entry's
-  /// step fused the deterministic silent/register steps after it
-  /// (interp::StepOptions::tau_compress). Every explorer sets it where it
-  /// builds the trace; replay_trace replays at the same granularity.
-  bool tau_compress = false;
+  /// The step granularity the trace was recorded at: which silent steps
+  /// each entry's step fused after it (interp::StepOptions::tau_compress).
+  /// Every explorer sets it where it builds the trace; replay_trace
+  /// replays at the same granularity.
+  interp::TauCompress tau_compress = interp::TauCompress::kEveryStep;
 
   [[nodiscard]] bool empty() const { return entries.empty(); }
   [[nodiscard]] std::size_t size() const { return entries.size(); }

@@ -9,7 +9,7 @@ InvariantSuiteResult check_invariants(
     const std::vector<NamedInvariant>& invariants,
     mc::ExploreOptions options) {
   // One predicate over the whole suite, so mc::check_invariant's option
-  // handling (tau compression off, DPOR downgraded to sleep sets) applies.
+  // handling (stutter-free search, DPOR downgraded to sleep sets) applies.
   InvariantSuiteResult result;
   mc::InvariantResult r = mc::check_invariant(
       program,
@@ -31,7 +31,7 @@ InvariantSuiteResult check_invariants(
 
 RuleSoundnessResult check_rule_soundness(const lang::Program& program,
                                          mc::ExploreOptions options) {
-  options.step.tau_compress = false;
+  options.step.tau_compress = interp::TauCompress::kEveryStep;
   RuleSoundnessResult result;
   SweepResult sweep;
   mc::Visitor visitor;

@@ -29,7 +29,8 @@ struct InvariantSuiteResult {
 };
 
 /// Checks every invariant at every reachable configuration, through
-/// mc::check_invariant: tau compression is off, and DPOR is downgraded to
+/// mc::check_invariant: the search runs stutter-free (every pc, register,
+/// unfold count and termination stays visible), and DPOR is downgraded to
 /// sleep sets, since an invariant observes intermediate states that DPOR
 /// may skip.
 [[nodiscard]] InvariantSuiteResult check_invariants(
@@ -46,7 +47,8 @@ struct RuleSoundnessResult {
 };
 
 /// Sweeps all Figure-4 rules over every reachable RA transition of the
-/// program (Appendix B, mechanised).
+/// program (Appendix B, mechanised), at every step granularity
+/// (interp::TauCompress::kEveryStep, whatever the caller set).
 [[nodiscard]] RuleSoundnessResult check_rule_soundness(
     const lang::Program& program, mc::ExploreOptions options = {});
 

@@ -65,7 +65,7 @@ bool racy_by_oracle(const lang::Program& program,
 Finals finals_by_oracle(const lang::Program& program,
                         const lang::CondPtr& cond, mc::ExploreOptions options) {
   options.por = mc::PorMode::kNone;
-  options.step.tau_compress = false;
+  options.step.tau_compress = interp::TauCompress::kEveryStep;
   Finals finals;
   mc::Visitor visitor;
   visitor.on_final = [&](const interp::Config& c) {

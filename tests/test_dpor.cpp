@@ -714,7 +714,8 @@ TEST(DporColdPaths, OnTransitionSeesEveryTransitionWithItsSuccessor) {
   // executed transition, and the child must be the successor that
   // from-scratch enumeration of the parent lists for the same step.
   interp::StepOptions sopts;
-  sopts.tau_compress = true;  // the engine's scheduling granularity
+  // The engine's scheduling granularity.
+  sopts.tau_compress = interp::TauCompress::kFused;
   for (const char* name : {"SB", "IRIW_ra", "WRC_ra", "SwapAtomicity"}) {
     const auto parsed = lang::parse_litmus(litmus::find_test(name).source);
     for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {

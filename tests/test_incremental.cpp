@@ -68,6 +68,7 @@
 #include "litmus/catalog.hpp"
 #include "litmus/import.hpp"
 #include "mc/independence.hpp"
+#include "vcgen/peterson.hpp"
 
 namespace rc11 {
 namespace {
@@ -123,7 +124,7 @@ struct CacheImage {
   std::vector<lang::ComPtr> cont;
   std::vector<lang::RegFile> regs;
   std::vector<int> unfoldings;
-  bool tau_normal = false;
+  interp::TauCompress tau_normal = interp::TauCompress::kEveryStep;
 
   static CacheImage of(interp::Config& c) {
     c11::Execution& ex = c.exec;
@@ -275,15 +276,32 @@ void walk(interp::Config& c, const interp::StepOptions& opts,
   check_cache(c, tag + " after undo/redo");
 }
 
+/// The three step granularities, each walked in turn.
+constexpr interp::TauCompress kGranularities[] = {
+    interp::TauCompress::kEveryStep, interp::TauCompress::kStutterFree,
+    interp::TauCompress::kFused};
+
+std::string granularity_tag(interp::TauCompress g) {
+  switch (g) {
+    case interp::TauCompress::kEveryStep:
+      return " [every step]";
+    case interp::TauCompress::kStutterFree:
+      return " [stutter-free]";
+    case interp::TauCompress::kFused:
+      return " [fused]";
+  }
+  return " [?]";
+}
+
 void walk_program(const lang::Program& p, std::size_t budget,
                   const std::string& tag) {
-  for (const bool tau : {false, true}) {
+  for (const interp::TauCompress g : kGranularities) {
     interp::StepOptions opts;
     opts.loop_bound = 2;
-    opts.tau_compress = tau;
+    opts.tau_compress = g;
     interp::Config c = interp::initial_config(p);
     std::size_t b = budget;
-    walk(c, opts, b, tag + (tau ? " [tau]" : " [plain]"));
+    walk(c, opts, b, tag + granularity_tag(g));
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
@@ -294,6 +312,15 @@ TEST(Incremental, LitmusCatalogueAgreesWithOracleAtEveryStep) {
     walk_program(parsed.program, /*budget=*/300, test.name);
     if (::testing::Test::HasFatalFailure()) return;
   }
+}
+
+TEST(Incremental, PetersonAgreesWithOracleAtEveryStep) {
+  // Labelled programs: some silent steps move a pc and some do not, so the
+  // stutter-free drain stops where the fused one runs on.
+  walk_program(vcgen::make_peterson(), /*budget=*/600, "peterson");
+  if (::testing::Test::HasFatalFailure()) return;
+  walk_program(vcgen::make_peterson_rounds(2), /*budget=*/600,
+               "peterson, 2 rounds");
 }
 
 std::uint32_t fuzz_seed_base() {
@@ -348,11 +375,10 @@ TEST(Incremental, LongDescentPastRowStorageThresholdsAgreesWithOracle) {
   constexpr std::size_t kEvery = 16;
   constexpr std::size_t kStepsEvery = 64;
 
-  for (const bool tau : {false, true}) {
-    const std::string tag =
-        std::string("long descent") + (tau ? " [tau]" : " [plain]");
+  for (const interp::TauCompress g : kGranularities) {
+    const std::string tag = "long descent" + granularity_tag(g);
     interp::StepOptions opts;
-    opts.tau_compress = tau;
+    opts.tau_compress = g;
     interp::Config c = interp::initial_config(p);
     std::mt19937 rng(o.seed);
     std::vector<interp::StepUndo> undo;

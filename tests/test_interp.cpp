@@ -133,7 +133,7 @@ TEST(Config, TauCompressionSkipsSilentSteps) {
   b.thread({assign(x, 1), assign(x, 2)});
   const Program p = std::move(b).build();
   StepOptions opts;
-  opts.tau_compress = true;
+  opts.tau_compress = TauCompress::kFused;
   Config c = initial_config(p);
   c = successors(c, opts)[0].next;
   // The skip-elimination silent step was compressed away: next step is

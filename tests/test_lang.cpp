@@ -394,11 +394,19 @@ void expect_peek_matches(const ComPtr& c, RegFile regs, int depth) {
   if (depth == 0) return;
   const StepPeek pk = peek_step(c, regs);
   auto s = step(c, regs);
+  // is_stutter decides without building the continuation what building it
+  // shows: a silent non-unfolding step that keeps the pc and termination.
+  const auto* sil = s ? std::get_if<SilentStep>(&*s) : nullptr;
+  EXPECT_EQ(is_stutter(c, regs),
+            sil != nullptr && stepping_kind(c) != ComKind::kWhile &&
+                leading_label(sil->next) == leading_label(c) &&
+                is_terminated(sil->next) == is_terminated(c))
+      << c->to_string();
   if (!s) {
     EXPECT_EQ(pk.kind, PeekKind::kNone) << c->to_string();
     return;
   }
-  if (auto* sil = std::get_if<SilentStep>(&*s)) {
+  if (sil != nullptr) {
     ASSERT_EQ(pk.kind, PeekKind::kSilent) << c->to_string();
     EXPECT_EQ(pk.loop_unfold, stepping_kind(c) == ComKind::kWhile)
         << c->to_string();
@@ -460,6 +468,31 @@ TEST(PeekStep, LockStepWithStepOnNonatomicAndFoldQuirks) {
                     swap(4, unary(UnOp::kMinus, constant(2))), skip()),
        assign(5, binary(BinOp::kOr, reg(1), constant(5)))});
   expect_peek_matches(prog, RegFile{0, 2}, 12);
+}
+
+TEST(Stutter, SilentStepsThatKeepThePcAndTerminationAreStutters) {
+  // A sticky label keeps pc 1 across the skip elimination inside it.
+  EXPECT_TRUE(is_stutter(labeled(1, seq(skip(), assign(0, constant(1)))),
+                         {}));
+  // The guard resolves, and a statement still follows at pc 0.
+  EXPECT_TRUE(is_stutter(
+      seq(if_then_else(constant(1), skip(), skip()), assign(0, constant(1))),
+      {}));
+}
+
+TEST(Stutter, PcMovesTerminationUnfoldsAndRegisterWritesAreNotStutters) {
+  // Skip elimination that reaches the next labelled line: pc 1 -> 2.
+  EXPECT_FALSE(is_stutter(
+      seq(labeled(1, skip()), labeled(2, assign(0, constant(1)))), {}));
+  // A guard resolving into skip at the end of the thread keeps pc 0 but
+  // terminates the thread.
+  EXPECT_FALSE(
+      is_stutter(if_then_else(constant(0), assign(0, constant(1)), skip()),
+                 {}));
+  EXPECT_FALSE(is_stutter(while_do(constant(1), skip()), {}));
+  EXPECT_FALSE(is_stutter(reg_assign(0, constant(1)), {}));
+  EXPECT_FALSE(is_stutter(assign(0, constant(1)), {}));
+  EXPECT_FALSE(is_stutter(skip(), {}));
 }
 
 // --- Builder sugar ---------------------------------------------------------------

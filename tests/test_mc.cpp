@@ -167,9 +167,9 @@ TEST(Checker, CollectFinalExecutionsDistinguishesMoOrders) {
 TEST(Checker, FinalStateQueriesFuseSilentSteps) {
   // The outcome, reachability and final-execution queries read terminated
   // configurations only, so they fuse silent steps into the step before
-  // them even when the caller's step.tau_compress is off. The invariant
-  // and race queries observe every visited state and keep each silent
-  // step its own transition.
+  // them even when the caller's step.tau_compress asks for every step. The
+  // invariant queries fuse only stutters, which move no pc, and the race
+  // query keeps the caller's every-step granularity.
   const auto parsed = lang::parse_litmus(R"(litmus TC
 var x = 0
 var y = 0
@@ -179,11 +179,16 @@ exists (1:r0 == 5)
 )");
   const lang::Program& p = parsed.program;
   ExploreOptions fused;
-  fused.step.tau_compress = true;
+  fused.step.tau_compress = interp::TauCompress::kFused;
+  ExploreOptions stutter_free;
+  stutter_free.step.tau_compress = interp::TauCompress::kStutterFree;
   const ExploreOptions unfused;
   const std::size_t fused_states = explore(p, fused, {}).stats.states;
+  const std::size_t stutter_free_states =
+      explore(p, stutter_free, {}).stats.states;
   const std::size_t unfused_states = explore(p, unfused, {}).stats.states;
-  ASSERT_LT(fused_states, unfused_states);
+  ASSERT_LT(fused_states, stutter_free_states);
+  ASSERT_LT(stutter_free_states, unfused_states);
   const testing::Finals oracle = testing::finals_by_oracle(p);
   ParallelOptions popts;
   popts.explore = unfused;
@@ -209,10 +214,18 @@ exists (1:r0 == 5)
   EXPECT_EQ(collect_final_executions(p, unfused), oracle.fingerprints);
   EXPECT_EQ(collect_final_executions_parallel(p, popts), oracle.fingerprints);
 
-  // Asked to fuse, the invariant query still keeps every silent step.
-  const auto invariant = check_invariant(
-      p, [](const interp::Config&) { return true; }, fused);
-  EXPECT_EQ(invariant.stats.states, unfused_states);
+  // Asked to fuse or to keep every step, the invariant queries run
+  // stutter-free.
+  const auto holds = [](const interp::Config&) { return true; };
+  for (const ExploreOptions& asked : {fused, unfused}) {
+    EXPECT_EQ(check_invariant(p, holds, asked).stats.states,
+              stutter_free_states);
+    ParallelOptions par_asked;
+    par_asked.explore = asked;
+    par_asked.workers = 2;
+    EXPECT_EQ(check_invariant_parallel(p, holds, par_asked).stats.states,
+              stutter_free_states);
+  }
   EXPECT_EQ(check_race_free(p, unfused).stats.states, unfused_states);
 }
 

@@ -7,6 +7,7 @@
 
 #include "mc/checker.hpp"
 #include "c11/axioms.hpp"
+#include "mc/parallel.hpp"
 #include "vcgen/peterson.hpp"
 
 namespace rc11::vcgen {
@@ -75,10 +76,10 @@ TEST(Peterson, TerminatesWithFlagsDown) {
   EXPECT_GT(finals, 0u);
 }
 
-TEST(Peterson, BrokenVariantViolatesMutualExclusion) {
-  // Replace the release-acquire swap with a relaxed write of turn: the
-  // "first to swap may miss the other's flag" argument collapses and both
-  // threads can sit at line 5.
+/// Peterson with the release-acquire swap replaced by a relaxed write of
+/// turn: the "first to swap may miss the other's flag" argument collapses
+/// and both threads can sit at line 5.
+lang::Program broken_peterson() {
   lang::ProgramBuilder b;
   auto flag1 = b.var("flag1", 0);
   auto flag2 = b.var("flag2", 0);
@@ -99,10 +100,41 @@ TEST(Peterson, BrokenVariantViolatesMutualExclusion) {
   };
   b.thread(body(flag1, flag2, 2));
   b.thread(body(flag2, flag1, 1));
-  const lang::Program p = std::move(b).build();
+  return std::move(b).build();
+}
+
+TEST(Peterson, BrokenVariantViolatesMutualExclusion) {
   const mc::InvariantResult r =
-      mc::check_invariant(p, mutual_exclusion(), bounded(1));
+      mc::check_invariant(broken_peterson(), mutual_exclusion(), bounded(1));
   EXPECT_FALSE(r.holds) << "relaxed Peterson should NOT be safe";
+}
+
+TEST(Peterson, BrokenVariantCounterexamplesReplayToTheViolation) {
+  // Both invariant searches run stutter-free, and their counterexamples
+  // say so: replayed at that granularity, each leads to a configuration
+  // with both threads at line 5.
+  const lang::Program p = broken_peterson();
+  const mc::InvariantResult seq =
+      mc::check_invariant(p, mutual_exclusion(), bounded(1));
+  mc::ParallelOptions popts;
+  popts.explore = bounded(1);
+  popts.workers = 4;
+  const mc::InvariantResult par =
+      mc::check_invariant_parallel(p, mutual_exclusion(), popts);
+  for (const mc::InvariantResult* r : {&seq, &par}) {
+    const char* what = r == &seq ? "sequential" : "4 workers";
+    ASSERT_FALSE(r->holds) << what;
+    ASSERT_FALSE(r->counterexample.empty()) << what;
+    EXPECT_EQ(r->counterexample.tau_compress,
+              interp::TauCompress::kStutterFree)
+        << what;
+    const auto end = mc::replay_trace(p, r->counterexample);
+    ASSERT_TRUE(end.has_value())
+        << what << " trace does not replay:\n"
+        << r->counterexample.to_string(&p.vars());
+    EXPECT_EQ(end->pc(1), 5) << what;
+    EXPECT_EQ(end->pc(2), 5) << what;
+  }
 }
 
 TEST(Peterson, RoundsVariantStaysExclusive) {

@@ -230,6 +230,17 @@ TEST(ParallelAgreement, StateCountsAndOutcomesAcrossCatalog) {
     EXPECT_EQ(seq_out.outcomes, par_out.outcomes) << test.name;
     EXPECT_EQ(seq_out.stats.states, par_out.stats.states) << test.name;
   }
+
+  // A labelled program, where the stutter-free drain stops at pc moves.
+  const lang::Program peterson = vcgen::make_peterson();
+  popts.explore.step.loop_bound = 2;
+  const auto seq_inv = check_invariant(
+      peterson, [](const interp::Config&) { return true; }, popts.explore);
+  const auto par_inv = check_invariant_parallel(
+      peterson, [](const interp::Config&) { return true; }, popts);
+  EXPECT_TRUE(par_inv.holds);
+  EXPECT_EQ(par_inv.stats.states, seq_inv.stats.states);
+  EXPECT_EQ(par_inv.stats.finals, seq_inv.stats.finals);
 }
 
 TEST(ParallelAgreement, ReachabilityVerdictsAcrossCatalog) {
@@ -264,7 +275,8 @@ TEST(ParallelTraces, InvariantCounterexampleReplaysToViolation) {
   ASSERT_FALSE(r.holds);
   ASSERT_FALSE(r.counterexample.empty());
 
-  EXPECT_FALSE(r.counterexample.tau_compress);  // invariants see every pc
+  // Invariants run stutter-free.
+  EXPECT_EQ(r.counterexample.tau_compress, interp::TauCompress::kStutterFree);
   const auto final_config = replay_trace(p, r.counterexample);
   ASSERT_TRUE(final_config.has_value()) << "trace does not replay";
   EXPECT_FALSE(invariant(*final_config))
@@ -288,7 +300,7 @@ exists (1:r0 == 0 && 2:r1 == 0)
 
   // The query fused silent steps; the witness says so, and replays
   // without any step options from the caller.
-  EXPECT_TRUE(r.witness.tau_compress);
+  EXPECT_EQ(r.witness.tau_compress, interp::TauCompress::kFused);
   const auto final_config = replay_trace(parsed.program, r.witness);
   ASSERT_TRUE(final_config.has_value()) << "witness does not replay";
   EXPECT_TRUE(final_config->terminated());
