@@ -134,21 +134,28 @@ bool sc_push_ok(const c11::Execution& next) {
   return c11::check_sc(next, c11::compute_derived(next));
 }
 
-/// Greedily applies, for every thread, the pending steps granularity `g`
+/// True iff a drain may fuse an unfolding of a thread that has taken
+/// `unfoldings` of them: only a bounded search does, below its bound.
+bool unfold_fusible(const StepOptions& opts, int unfoldings) {
+  return opts.loop_bound >= 0 && unfoldings < opts.loop_bound;
+}
+
+/// Greedily applies, for every thread, the pending steps opts.tau_compress
 /// fuses: its deterministic silent / register steps under kFused, its
-/// stutters under kStutterFree. Loop unfoldings are never fused: they are
-/// bounded and branch the search, so they must remain visible transitions.
-/// Everything else that is silent commutes with all other threads' steps
-/// because it touches no shared state. The from-scratch drain behind
-/// successors(): it decides a stutter by building the step and comparing
-/// pcs and termination, which lang::is_stutter decides without building.
-void apply_tau_compression(Config& c, TauCompress g) {
+/// stutters under kStutterFree, and under both the unfoldings the bound
+/// allows. All of these commute with every other thread's step because
+/// they touch no shared state. The from-scratch drain behind successors():
+/// it decides a stutter by building the step and comparing pcs and
+/// termination, which lang::is_stutter decides without building.
+void apply_tau_compression(Config& c, const StepOptions& opts) {
+  const TauCompress g = opts.tau_compress;
   bool changed = true;
   while (changed) {
     changed = false;
     for (ThreadId t = 1; t <= c.thread_count(); ++t) {
       const ComPtr k = c.cont[t - 1];
-      if (stepping_node_kind(k) == lang::ComKind::kWhile) continue;
+      const bool unfold = stepping_node_kind(k) == lang::ComKind::kWhile;
+      if (unfold && !unfold_fusible(opts, c.unfoldings[t - 1])) continue;
       auto s = lang::step(k, c.regs[t - 1]);
       if (!s) continue;
       if (auto* sil = std::get_if<lang::SilentStep>(&*s)) {
@@ -159,6 +166,7 @@ void apply_tau_compression(Config& c, TauCompress g) {
           continue;
         }
         c.cont[t - 1] = sil->next;
+        if (unfold) ++c.unfoldings[t - 1];
         changed = true;
       } else if (auto* rw = std::get_if<lang::RegWriteStep>(&*s);
                  rw != nullptr && g == TauCompress::kFused) {
@@ -183,7 +191,7 @@ std::vector<ConfigStep> successors(const Config& c, const StepOptions& opts) {
 
     auto finish = [&](ConfigStep step) {
       if (opts.tau_compress != TauCompress::kEveryStep) {
-        apply_tau_compression(step.next, opts.tau_compress);
+        apply_tau_compression(step.next, opts);
       } else {
         step.next.tau_normal = TauCompress::kEveryStep;
       }
@@ -454,14 +462,35 @@ void enumerate_steps(Config& c, const StepOptions& opts,
 
 namespace {
 
-/// True iff granularity g fuses a thread's next step into the step before
-/// it. Decided by peeking, so the step that ends a drain builds no
+/// What a drain does with a thread's next step.
+enum class Fuse : std::uint8_t {
+  kNo,      ///< the step stays a transition (or none is enabled)
+  kStep,    ///< a silent or register step that fuses
+  kUnfold,  ///< an unfolding that fuses, adding one to the unfold count
+};
+
+/// How opts.tau_compress treats thread u's next step under opts.loop_bound.
+/// Decided by peeking, so the step that ends a drain builds no
 /// continuation.
-bool fuses_next(TauCompress g, const ComPtr& k, const RegFile& regs) {
-  if (g == TauCompress::kStutterFree) return lang::is_stutter(k, regs, kDonePc);
+Fuse fuses_next(const StepOptions& opts, const Config& c, ThreadId u) {
+  const ComPtr& k = c.cont[u - 1];
+  const RegFile& regs = c.regs[u - 1];
+  if (opts.tau_compress == TauCompress::kStutterFree) {
+    if (lang::is_stutter(k, regs, kDonePc)) return Fuse::kStep;
+    return stepping_node_kind(k) == lang::ComKind::kWhile &&
+                   unfold_fusible(opts, c.unfoldings[u - 1])
+               ? Fuse::kUnfold
+               : Fuse::kNo;
+  }
   const lang::StepPeek pk = lang::peek_step(k, regs);
-  return !pk.loop_unfold && (pk.kind == lang::PeekKind::kSilent ||
-                             pk.kind == lang::PeekKind::kRegWrite);
+  if (pk.loop_unfold) {
+    return unfold_fusible(opts, c.unfoldings[u - 1]) ? Fuse::kUnfold
+                                                     : Fuse::kNo;
+  }
+  return pk.kind == lang::PeekKind::kSilent ||
+                 pk.kind == lang::PeekKind::kRegWrite
+             ? Fuse::kStep
+             : Fuse::kNo;
 }
 
 void ensure_saved(Config& c, StepUndo* undo, ThreadId u) {
@@ -473,6 +502,7 @@ void ensure_saved(Config& c, StepUndo* undo, ThreadId u) {
   snap.thread = u;
   snap.cont = c.cont[u - 1];
   snap.regs = c.regs[u - 1];
+  snap.unfoldings = c.unfoldings[u - 1];
 }
 
 /// The thread half of a step; `undo == nullptr` skips all snapshotting
@@ -482,7 +512,6 @@ void apply_thread_half_impl(Config& c, const Step& s, const StepOptions& opts,
   const ThreadId t = s.thread;
   if (undo != nullptr) {
     undo->thread = t;
-    undo->loop_unfold = s.loop_unfold;
     undo->event = c11::kNoEvent;
     undo->saved.clear();
     undo->prev_tau_normal = c.tau_normal;
@@ -519,28 +548,29 @@ void apply_thread_half_impl(Config& c, const Step& s, const StepOptions& opts,
 
   const TauCompress g = opts.tau_compress;
   if (g != TauCompress::kEveryStep) {
-    // Same fixpoint as apply_tau_compression, computed thread-locally: a
-    // thread's silent / register steps depend only on its own continuation
-    // and registers, so each thread can be drained to exhaustion in one
-    // pass (no global re-rounds). First-touch snapshots make the drain
-    // undo exactly.
+    // Same fixpoint as apply_tau_compression, computed thread-locally:
+    // whether a thread's next step fuses depends only on its own
+    // continuation, registers and unfold count, so each thread can be
+    // drained to exhaustion in one pass (no global re-rounds). The chain is
+    // finite: the bound caps the unfoldings in it. First-touch snapshots
+    // make the drain undo exactly.
     //
     // When the config is already drained at this granularity only the
     // acting thread can have gained fusible steps (the apply touched no
-    // other thread's continuation or registers), so the drain is O(1)
-    // threads, not O(thread_count) — the common case along every
-    // exploration spine.
+    // other thread's state), so the drain is O(1) threads, not
+    // O(thread_count) — the common case along every exploration spine.
     const auto drain = [&](ThreadId u) {
       // fuses_next peeks: the loop's exit iteration (a memory step, a
-      // pc-changing silent step, a bounded unfold, or termination) would
-      // otherwise pay a full step() — with its continuation allocations —
-      // just to discard it.
-      while (fuses_next(g, c.cont[u - 1], c.regs[u - 1])) {
+      // pc-changing silent step, an unfolding at the bound, or
+      // termination) would otherwise pay a full step() — with its
+      // continuation allocations — just to discard it.
+      for (Fuse f; (f = fuses_next(opts, c, u)) != Fuse::kNo;) {
         auto tv = lang::step(c.cont[u - 1], c.regs[u - 1]);
         assert(tv.has_value());
         if (auto* sil = std::get_if<lang::SilentStep>(&*tv)) {
           ensure_saved(c, undo, u);
           c.cont[u - 1] = sil->next;
+          if (f == Fuse::kUnfold) ++c.unfoldings[u - 1];
         } else {
           auto* rw = std::get_if<lang::RegWriteStep>(&*tv);
           assert(rw != nullptr);
@@ -594,10 +624,10 @@ EventId apply_step(Config& c, const Step& s, const StepOptions& opts) {
 
 void undo_step(Config& c, const StepUndo& undo) {
   if (undo.event != c11::kNoEvent) c.exec.pop_event(undo.exec);
-  if (undo.loop_unfold) --c.unfoldings[undo.thread - 1];
   for (const auto& snap : undo.saved) {
     c.cont[snap.thread - 1] = snap.cont;
     c.regs[snap.thread - 1] = snap.regs;
+    c.unfoldings[snap.thread - 1] = snap.unfoldings;
   }
   c.tau_normal = undo.prev_tau_normal;
 }

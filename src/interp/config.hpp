@@ -40,20 +40,25 @@ inline constexpr int kDonePc = 0;
 
 /// How finely a search interleaves the silent steps a thread takes between
 /// its memory steps: the step granularity of StepOptions::tau_compress.
-/// Loop unfoldings are never fused at any granularity: they are bounded and
-/// must branch the search.
+/// Both drained granularities (kStutterFree, kFused) also fuse every loop
+/// unfolding the bound allows (StepOptions::loop_bound >= 0 and the
+/// thread's unfold count below it): an unfolding keeps the thread's pc and
+/// termination and writes no register and no memory, and only the bound
+/// reads the count it adds. An unbounded search fuses no unfolding, since
+/// `while (r == 0) { skip; }` would never leave the drain.
 enum class TauCompress : std::uint8_t {
   /// Every silent and register step is a transition of its own.
   kEveryStep,
   /// Stutters (lang::is_stutter: silent steps that keep the thread's pc and
-  /// termination) fuse into the step before them. Register writes,
-  /// pc-changing silent steps and unfoldings stay transitions, so every
-  /// pc, register, unfold count and termination an every-step search
-  /// reaches is still reached (src/mc/README.md gives the argument).
+  /// termination) and allowed unfoldings fuse into the step before them.
+  /// Register writes and pc-changing silent steps stay transitions, so
+  /// every pc, register and termination an every-step search reaches is
+  /// still reached (src/mc/README.md gives the argument).
   kStutterFree,
-  /// Every deterministic silent and register step fuses into the step
-  /// before it (tau compression). Sound for terminated configurations and
-  /// for memory-visible states, not for intermediate pcs or registers.
+  /// Every deterministic silent and register step, and every allowed
+  /// unfolding, fuses into the step before it (tau compression). Sound for
+  /// terminated configurations and for memory-visible states, not for
+  /// intermediate pcs or registers.
   kFused,
 };
 
@@ -64,11 +69,12 @@ struct Config {
   std::vector<int> unfoldings;    ///< while-unfold count of thread t
   Execution exec;
   /// The coarsest granularity at which every thread is drained: no thread
-  /// has a pending step that granularity fuses (kEveryStep claims nothing;
-  /// a kFused drain leaves no stutter either). Lets apply_step's drain
-  /// visit only the acting thread: silent steps depend solely on the
-  /// thread's own continuation and registers, and an apply changes no other
-  /// thread's. Derived state, excluded from key/fingerprint.
+  /// has a pending step that granularity fuses under the loop bound of the
+  /// search that drained it (kEveryStep claims nothing; a kFused drain
+  /// leaves no stutter either). Lets apply_step's drain visit only the
+  /// acting thread: whether a step fuses depends solely on the thread's own
+  /// continuation, registers and unfold count, and an apply changes no
+  /// other thread's. Derived state, excluded from key/fingerprint.
   TauCompress tau_normal = TauCompress::kEveryStep;
   /// Static program scan (set once by initial_config; lang::scan_sc_features).
   /// With `has_sc`, every enumerated memory step is psc-filtered — an
@@ -128,7 +134,8 @@ struct StepOptions {
   /// (bounded exploration). Negative = unbounded.
   int loop_bound = -1;
 
-  /// Which silent steps fuse into the step before them (see TauCompress).
+  /// Which silent steps fuse into the step before them (see TauCompress;
+  /// the drained granularities fuse the unfoldings loop_bound allows too).
   /// Read by successors and apply_step here and by mc::explore /
   /// mc::explore_from. The mc queries set it themselves (mc/checker.hpp):
   /// the final-state queries and DPOR fuse, the invariant queries run
@@ -182,19 +189,19 @@ struct Step {
 /// their capacity).
 struct StepUndo {
   ThreadId thread = 0;
-  bool loop_unfold = false;
   /// The appended event, once the memory half ran; kNoEvent for a silent
   /// step or a thread half alone (undo_step then pops nothing).
   EventId event = c11::kNoEvent;
   c11::Execution::UndoToken exec;
 
-  /// First-touch snapshots of every thread whose continuation / registers
-  /// the step changed (the acting thread, plus any thread advanced by tau
-  /// compression).
+  /// First-touch snapshots of every thread whose continuation, registers
+  /// or unfold count the step changed (the acting thread, plus any thread
+  /// advanced by tau compression).
   struct ThreadSnapshot {
     ThreadId thread = 0;
     ComPtr cont;
     RegFile regs;
+    int unfoldings = 0;
   };
   std::vector<ThreadSnapshot> saved;
 
@@ -212,8 +219,9 @@ void enumerate_steps(Config& c, const StepOptions& opts,
                      std::vector<Step>& out);
 
 /// Applies one enumerated step to c in place, then drains the steps
-/// opts.tau_compress fuses, mirroring successors(): the acting thread's,
-/// or every thread's while c is not yet drained at that granularity.
+/// opts.tau_compress fuses under opts.loop_bound, mirroring successors():
+/// the acting thread's, or every thread's while c is not yet drained at
+/// that granularity.
 /// Returns the appended event (kNoEvent for silent steps).
 EventId apply_step(Config& c, const Step& s, const StepOptions& opts,
                    StepUndo& undo);

@@ -322,8 +322,8 @@ std::optional<Step> step(const ComPtr& c, const RegFile& regs) {
     case ComKind::kWhile:
       // Guard-preserving unfolding (see header comment):
       // while B do C --lambda--> if B then (C ; while B do C) else skip.
-      return SilentStep{
-          if_then_else(c->expr, seq(c->c1, make(Com{*c})), skip())};
+      // The back edge is the loop node itself: nodes are immutable.
+      return SilentStep{if_then_else(c->expr, seq(c->c1, c), skip())};
 
     case ComKind::kFence:
       return FenceStep{c->fence, skip()};

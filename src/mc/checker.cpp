@@ -7,8 +7,9 @@ namespace rc11::mc {
 InvariantResult check_invariant(const lang::Program& program,
                                 const ConfigPredicate& invariant,
                                 ExploreOptions options) {
-  // Every pc, register and unfold count must stay visible; stutters change
-  // none of them (src/mc/README.md, "Stutter-free invariant search").
+  // Every pc, register and termination must stay visible; stutters and
+  // allowed unfoldings change none of them (src/mc/README.md,
+  // "Stutter-free invariant search").
   options.step.tau_compress = interp::TauCompress::kStutterFree;
   // DPOR preserves terminated states and race reports but may skip
   // intermediate global states, which an arbitrary invariant can observe;

@@ -11,19 +11,21 @@
 //  * check_race_free — data-race freedom (extension).
 //
 // Step granularity (options.step.tau_compress, interp::TauCompress).
-// Silent steps (skip elimination, guard resolution and register
-// assignments) touch no memory, so they commute with every other thread's
-// step. check_reachable, enumerate_outcomes and collect_final_executions
-// read terminated configurations only, which cannot tell a search that
-// fuses silent steps into the step before them from one that interleaves
-// them: they set kFused themselves, on every engine, and visit far fewer
-// states. check_invariant sets kStutterFree: it fuses only stutters,
-// silent steps that keep the thread's pc and termination, so every pc,
-// register, unfold count and termination an invariant may read is still
-// reached (src/mc/README.md, "Stutter-free invariant search").
-// check_race_free honours the caller's setting, whose default keeps every
-// silent step, except under DPOR, which always fuses (dpor.hpp). Loop
-// unfoldings are never fused (they are bounded and must branch).
+// Silent steps (skip elimination, guard resolution, loop unfoldings and
+// register assignments) touch no memory, so they commute with every other
+// thread's step. check_reachable, enumerate_outcomes and
+// collect_final_executions read terminated configurations only, which
+// cannot tell a search that fuses silent steps into the step before them
+// from one that interleaves them: they set kFused themselves, on every
+// engine, and visit far fewer states. check_invariant sets kStutterFree:
+// it fuses only stutters, silent steps that keep the thread's pc and
+// termination, and unfoldings, so every pc, register and termination an
+// invariant may read is still reached (src/mc/README.md, "Stutter-free
+// invariant search"). Both fuse an unfolding only under a loop bound,
+// while the thread's unfold count is below it: an unbounded loop would
+// never leave the drain. check_race_free honours the caller's setting,
+// whose default keeps every silent step, except under DPOR, which always
+// fuses (dpor.hpp).
 #pragma once
 
 #include <map>
@@ -37,9 +39,11 @@
 namespace rc11::mc {
 
 /// An invariant over configurations. It may read each thread's pc
-/// (Config::pc), registers, unfold count and termination, and the
-/// execution. It may not read the shape of a continuation: the invariant
-/// queries fuse stutters, which change that shape and nothing else.
+/// (Config::pc), registers and termination, and the execution. It may not
+/// read the shape of a continuation or an unfold count: the invariant
+/// queries fuse stutters and unfoldings, which change those and nothing
+/// else. An unfold count is the loop bound's bookkeeping, not part of the
+/// paper's configurations.
 using ConfigPredicate = std::function<bool(const interp::Config&)>;
 
 struct InvariantResult {
@@ -52,8 +56,8 @@ struct InvariantResult {
 /// options.step.loop_bound if set). The search runs stutter-free
 /// (interp::TauCompress::kStutterFree, whatever options.step.tau_compress
 /// says): it reaches every visible part a search at every step reaches,
-/// in about half the states on Peterson. The counterexample records that
-/// granularity and replays with replay_trace alone. DPOR is downgraded to
+/// one state per visible part on Peterson. The counterexample records its
+/// step options and replays with replay_trace alone. DPOR is downgraded to
 /// sleep sets: invariants observe intermediate global states, which only
 /// the state-preserving reduction keeps intact.
 [[nodiscard]] InvariantResult check_invariant(const lang::Program& program,
@@ -67,8 +71,8 @@ struct ReachabilityResult {
 };
 
 /// Searches for a terminated configuration satisfying `cond`, with silent
-/// steps fused (kFused, whatever the caller set); the witness records that
-/// granularity and replays with replay_trace alone.
+/// steps fused (kFused, whatever the caller set); the witness records its
+/// step options and replays with replay_trace alone.
 [[nodiscard]] ReachabilityResult check_reachable(const lang::Program& program,
                                                  const lang::CondPtr& cond,
                                                  ExploreOptions options = {});

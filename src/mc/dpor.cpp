@@ -531,10 +531,11 @@ void prepare_node(Engine& eng, Node& n, interp::Config& config) {
 
 /// The trace from the root to `n` (the path the spine encodes). Entries
 /// are rendered here, on the cold path — the hot path only records steps.
-Trace spine_trace(const Node* n) {
+Trace spine_trace(const Engine& eng, const Node* n) {
   Trace t;
-  // The engine's granularity (explore_dpor).
-  t.tau_compress = interp::TauCompress::kFused;
+  // The engine's step options: fused, under the caller's loop bound
+  // (explore_dpor).
+  t.step = eng.options.step;
   for (const Node* p = n; p->depth > 0; p = p->parent.get()) {
     t.entries.push_back(make_entry(p->in_step));
   }
@@ -566,9 +567,11 @@ bool has_awake_step(const Node& n, c11::ThreadId q) {
 /// if one exists (silent steps are independent with everything, so the
 /// node will never receive a backtrack point — the branch-deferring
 /// "invisible transition first" heuristic; with tau compression these are
-/// only loop unfoldings), else the lowest-id enabled thread with an awake
-/// transition. Returns 0 when nothing is schedulable (a leaf, or a
-/// sleep-set-blocked node whose executions are covered elsewhere).
+/// only the root's, before its first drain, and the unfoldings of an
+/// unbounded search: a bounded one fuses every unfolding its bound
+/// allows), else the lowest-id enabled thread with an awake transition.
+/// Returns 0 when nothing is schedulable (a leaf, or a sleep-set-blocked
+/// node whose executions are covered elsewhere).
 c11::ThreadId pick_first(const Node& n) {
   // One pass over the signatures (sorted by thread ascending), tracking
   // per thread-group whether some step is awake and whether every step is
@@ -862,7 +865,7 @@ void arrive(Engine& eng, std::size_t me, const NodePtr& node) {
     const bool keep = eng.visitor.on_transition(pre, view);
     config = std::move(view.next);
     if (!keep) {
-      eng.record_abort(spine_trace(&x));
+      eng.record_abort(spine_trace(eng, &x));
       return;
     }
   } else {
@@ -887,13 +890,13 @@ void arrive(Engine& eng, std::size_t me, const NodePtr& node) {
       return;
     }
     if (eng.visitor.on_state && !eng.visitor.on_state(config)) {
-      eng.record_abort(spine_trace(&x));
+      eng.record_abort(spine_trace(eng, &x));
       return;
     }
     if (config.terminated()) {
       ++my.finals;
       if (eng.visitor.on_final && !eng.visitor.on_final(config)) {
-        eng.record_abort(spine_trace(&x));
+        eng.record_abort(spine_trace(eng, &x));
         return;
       }
     }
@@ -1006,11 +1009,12 @@ ExploreResult explore_dpor(const interp::Config& start,
   if (workers == 0) workers = 1;
   Engine eng(start, options, visitor, workers);
   // Scheduling points are visible (memory) steps only: deterministic
-  // silent/register steps never branch the search and are fused into the
-  // preceding transition (loop unfoldings stay visible — they are bounded
-  // and must branch). Invisible transitions are never scheduling points in
-  // DPOR; this is what makes the reduction bite on register-heavy litmus
-  // programs. Returned traces record this granularity.
+  // silent/register steps, and the loop unfoldings the bound allows, never
+  // branch the search and are fused into the preceding transition (an
+  // unbounded search keeps its unfoldings as transitions). Invisible
+  // transitions are never scheduling points in DPOR; this is what makes
+  // the reduction bite on register-heavy litmus programs. Returned traces
+  // record these step options.
   eng.options.step.tau_compress = interp::TauCompress::kFused;
 
   obs::PhaseProfile profile_base;

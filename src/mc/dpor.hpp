@@ -80,10 +80,11 @@ namespace rc11::mc {
 /// counters.
 ///
 /// The engine always forces step.tau_compress = kFused: scheduling points
-/// are visible (memory) steps; deterministic silent/register steps are
-/// fused into the preceding transition (loop unfoldings stay visible).
-/// Every query runs at this granularity under DPOR, the race query
-/// included. Returned traces record it (Trace::tau_compress), so
+/// are visible (memory) steps; deterministic silent/register steps and the
+/// loop unfoldings step.loop_bound allows are fused into the preceding
+/// transition (an unbounded search keeps its unfoldings visible). Every
+/// query runs at this granularity under DPOR, the race query included.
+/// Returned traces record these step options (Trace::step), so
 /// replay_trace replays them as they are.
 ///
 /// The engine runs the ==>_RA semantics only: `options.pre_execution` is

@@ -56,9 +56,11 @@ ExploreResult explore_materialized(const interp::Config& start,
 
   auto build_trace = [&options](const std::vector<MatFrame>& stack) {
     Trace t;
+    t.step = options.step;
     // pe_successors never drains silent steps.
-    t.tau_compress = options.pre_execution ? interp::TauCompress::kEveryStep
-                                           : options.step.tau_compress;
+    if (options.pre_execution) {
+      t.step.tau_compress = interp::TauCompress::kEveryStep;
+    }
     // Frame 0 is the initial configuration; its incoming entry is empty.
     for (std::size_t i = 1; i < stack.size(); ++i) {
       t.entries.push_back(stack[i].incoming);
@@ -249,7 +251,7 @@ ExploreResult explore_incremental(const interp::Config& start,
 
   auto build_trace = [&](std::size_t upto_depth) {
     Trace t;
-    t.tau_compress = options.step.tau_compress;
+    t.step = options.step;
     // Frame 0 is the initial configuration; frame i was entered by its
     // parent's step in_index.
     for (std::size_t i = 1; i <= upto_depth; ++i) {

@@ -374,7 +374,7 @@ Trace reconstruct_trace(const ParallelRun& run, const lang::Program& program,
   std::reverse(step_indices.begin(), step_indices.end());
 
   Trace trace;
-  trace.tau_compress = run.options.step.tau_compress;
+  trace.step = run.options.step;
   interp::Config c = interp::initial_config(program);
   std::vector<interp::Step> steps;
   for (std::uint32_t i : step_indices) {
@@ -428,7 +428,8 @@ InvariantResult check_invariant_parallel(const lang::Program& program,
                                          const ParallelOptions& options,
                                          ParallelRunInfo* info) {
   ExploreOptions eopts = options.explore;
-  // Stutters change no pc, register or unfold count (as check_invariant).
+  // Stutters and allowed unfoldings change no pc, register or termination
+  // (as check_invariant).
   eopts.step.tau_compress = interp::TauCompress::kStutterFree;
   // DPOR may skip intermediate global states; invariants need the
   // state-preserving reduction (same downgrade as check_invariant).

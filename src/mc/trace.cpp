@@ -52,8 +52,7 @@ std::optional<interp::Config> replay_trace(const lang::Program& program,
                                            const Trace& trace) {
   // Replays through the incremental engine (the same path the explorers
   // take); entries match enumerate_steps signatures directly.
-  interp::StepOptions opts;
-  opts.tau_compress = trace.tau_compress;
+  const interp::StepOptions& opts = trace.step;
   interp::Config c = interp::initial_config(program);
   std::vector<interp::Step> steps;
   for (const TraceEntry& entry : trace.entries) {

@@ -19,11 +19,12 @@ struct TraceEntry {
 
 struct Trace {
   std::vector<TraceEntry> entries;
-  /// The step granularity the trace was recorded at: which silent steps
-  /// each entry's step fused after it (interp::StepOptions::tau_compress).
-  /// Every explorer sets it where it builds the trace; replay_trace
-  /// replays at the same granularity.
-  interp::TauCompress tau_compress = interp::TauCompress::kEveryStep;
+  /// The step options the trace was recorded at: its granularity, which
+  /// says which silent steps each entry's step fused after it, and its
+  /// loop bound, which says which unfoldings those drains fused and which
+  /// the search bounded out. Every explorer sets them where it builds the
+  /// trace; replay_trace replays with the same options.
+  interp::StepOptions step;
 
   [[nodiscard]] bool empty() const { return entries.empty(); }
   [[nodiscard]] std::size_t size() const { return entries.size(); }
@@ -43,12 +44,12 @@ struct Trace {
 
 /// Replays a trace from the program's initial configuration by matching
 /// each entry against the enumerated successors (thread, silence, action
-/// and note identify a transition uniquely), at the granularity the trace
-/// records (Trace::tau_compress). No loop bound applies: a recorded trace
-/// takes only unfoldings its search allowed. Returns the configuration the
-/// trace leads to, or nullopt if some entry matches no real transition —
-/// the determinism check behind the counterexample-replay regression tests
-/// and the parallel race reports.
+/// and note identify a transition uniquely), with the step options the
+/// trace records (Trace::step), so every drain fuses exactly what the
+/// search's drain fused. Returns the configuration the trace leads to, or
+/// nullopt if some entry matches no real transition — the determinism
+/// check behind the counterexample-replay regression tests and the
+/// parallel race reports.
 [[nodiscard]] std::optional<interp::Config> replay_trace(
     const lang::Program& program, const Trace& trace);
 

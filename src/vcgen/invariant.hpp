@@ -29,10 +29,10 @@ struct InvariantSuiteResult {
 };
 
 /// Checks every invariant at every reachable configuration, through
-/// mc::check_invariant: the search runs stutter-free (every pc, register,
-/// unfold count and termination stays visible), and DPOR is downgraded to
-/// sleep sets, since an invariant observes intermediate states that DPOR
-/// may skip.
+/// mc::check_invariant: the search runs stutter-free (every pc, register
+/// and termination stays visible; stutters and the unfoldings the loop
+/// bound allows fuse), and DPOR is downgraded to sleep sets, since an
+/// invariant observes intermediate states that DPOR may skip.
 [[nodiscard]] InvariantSuiteResult check_invariants(
     const lang::Program& program, const std::vector<NamedInvariant>& invariants,
     mc::ExploreOptions options = {});

@@ -47,6 +47,18 @@ struct Example32 {
 [[nodiscard]] bool racy_by_oracle(const lang::Program& program,
                                   const interp::StepOptions& step = {});
 
+/// Three test-and-set lock acquisitions with retry loops (rmw_tas_lock, a
+/// litmus source): the looped member of test_dpor.cpp's RMW family, which
+/// the drained-search tests search at several loop bounds too.
+inline constexpr char kRmwTasLock[] = R"(litmus rmw_tas_lock
+var l = 0
+var c = 0
+thread 1 { r := l.swap(1); while (r != 0) { r := l.swap(1); } c := 1; l :=R 0; }
+thread 2 { r := l.swap(1); while (r != 0) { r := l.swap(1); } c := 2; l :=R 0; }
+thread 3 { r := l.swap(1); while (r != 0) { r := l.swap(1); } c := 3; l :=R 0; }
+exists (c == 1)
+)";
+
 /// What full enumeration finds at the terminated configurations.
 struct Finals {
   std::set<mc::Outcome> outcomes;              ///< mc::outcome_of each

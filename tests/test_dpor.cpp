@@ -530,14 +530,7 @@ TEST(DporReduction, IndependentWritersCollapseToOneTraceClass) {
 constexpr int kRmwLoopBound = 2;  ///< bounds the TAS retry loops
 
 constexpr const char* kRmwFamily[] = {
-    R"(litmus rmw_tas_lock
-var l = 0
-var c = 0
-thread 1 { r := l.swap(1); while (r != 0) { r := l.swap(1); } c := 1; l :=R 0; }
-thread 2 { r := l.swap(1); while (r != 0) { r := l.swap(1); } c := 2; l :=R 0; }
-thread 3 { r := l.swap(1); while (r != 0) { r := l.swap(1); } c := 3; l :=R 0; }
-exists (c == 1)
-)",
+    testing::kRmwTasLock,
     R"(litmus rmw_fadd_race
 var x = 0
 thread 1 { r := x@A; x.swap(r + 1); }
@@ -562,54 +555,59 @@ exists (x == 0 && y == 2)
 )",
 };
 
-ExploreOptions rmw_seq_options(PorMode por) {
+ExploreOptions rmw_seq_options(PorMode por, int loop_bound = kRmwLoopBound) {
   ExploreOptions o = seq_options(por);
-  o.step.loop_bound = kRmwLoopBound;
+  o.step.loop_bound = loop_bound;
   return o;
 }
 
-ParallelOptions rmw_par_options(PorMode por) {
+ParallelOptions rmw_par_options(PorMode por, int loop_bound = kRmwLoopBound) {
   ParallelOptions o = par_options(por);
-  o.explore.step.loop_bound = kRmwLoopBound;
+  o.explore.step.loop_bound = loop_bound;
   return o;
 }
 
 TEST(RmwNondeterminism, AllModesAgreeOnVerdictOutcomesAndFinals) {
+  // The TAS lock runs at loop bounds 0-3: the fused searches take the
+  // unfoldings each bound allows inside their drains, and must end in the
+  // oracle's terminated configurations, unfold counts included. The other
+  // members have no loop, so one bound searches them all.
   for (const char* source : kRmwFamily) {
     const auto parsed = lang::parse_litmus(source);
     const auto& p = parsed.program;
-    const testing::Finals full = testing::finals_by_oracle(
-        p, parsed.condition, rmw_seq_options(PorMode::kNone));
-    ASSERT_FALSE(full.stats.truncated) << parsed.name;
-    const bool expect_verdict = full.reachable;
-    const auto& expect_finals = full.fingerprints;
-    const auto& expect_outcomes = full.outcomes;
-    ASSERT_FALSE(expect_finals.empty()) << parsed.name;
-    for (const Mode& m : kModes) {
-      if (m.parallel) {
-        EXPECT_EQ(
-            check_reachable_parallel(p, parsed.condition, rmw_par_options(m.por))
-                .reachable,
-            expect_verdict)
-            << parsed.name << " under " << m.name;
-        EXPECT_EQ(collect_final_executions_parallel(p, rmw_par_options(m.por)),
-                  expect_finals)
-            << parsed.name << " under " << m.name;
-        EXPECT_EQ(enumerate_outcomes_parallel(p, rmw_par_options(m.por)).outcomes,
-                  expect_outcomes)
-            << parsed.name << " under " << m.name;
-      } else {
-        EXPECT_EQ(
-            check_reachable(p, parsed.condition, rmw_seq_options(m.por))
-                .reachable,
-            expect_verdict)
-            << parsed.name << " under " << m.name;
-        EXPECT_EQ(collect_final_executions(p, rmw_seq_options(m.por)),
-                  expect_finals)
-            << parsed.name << " under " << m.name;
-        EXPECT_EQ(enumerate_outcomes(p, rmw_seq_options(m.por)).outcomes,
-                  expect_outcomes)
-            << parsed.name << " under " << m.name;
+    const bool looped = source == testing::kRmwTasLock;
+    for (int bound = 0; bound <= (looped ? 3 : 0); ++bound) {
+      const std::string tag =
+          parsed.name + ", loop bound " + std::to_string(bound);
+      const testing::Finals full = testing::finals_by_oracle(
+          p, parsed.condition, rmw_seq_options(PorMode::kNone, bound));
+      ASSERT_FALSE(full.stats.truncated) << tag;
+      const bool expect_verdict = full.reachable;
+      const auto& expect_finals = full.fingerprints;
+      const auto& expect_outcomes = full.outcomes;
+      // At bound 0 no TAS thread gets past its loop: no final exists.
+      ASSERT_EQ(expect_finals.empty(), looped && bound == 0) << tag;
+      for (const Mode& m : kModes) {
+        if (m.parallel) {
+          const ParallelOptions o = rmw_par_options(m.por, bound);
+          EXPECT_EQ(check_reachable_parallel(p, parsed.condition, o).reachable,
+                    expect_verdict)
+              << tag << " under " << m.name;
+          EXPECT_EQ(collect_final_executions_parallel(p, o), expect_finals)
+              << tag << " under " << m.name;
+          EXPECT_EQ(enumerate_outcomes_parallel(p, o).outcomes,
+                    expect_outcomes)
+              << tag << " under " << m.name;
+        } else {
+          const ExploreOptions o = rmw_seq_options(m.por, bound);
+          EXPECT_EQ(check_reachable(p, parsed.condition, o).reachable,
+                    expect_verdict)
+              << tag << " under " << m.name;
+          EXPECT_EQ(collect_final_executions(p, o), expect_finals)
+              << tag << " under " << m.name;
+          EXPECT_EQ(enumerate_outcomes(p, o).outcomes, expect_outcomes)
+              << tag << " under " << m.name;
+        }
       }
     }
   }
@@ -703,7 +701,8 @@ TEST(DporCounters, SourceSetsSleepOnCatalogueAndTasLock) {
   const auto tas = lang::parse_litmus(kRmwFamily[0]);  // rmw_tas_lock
   const auto r =
       explore(tas.program, rmw_seq_options(PorMode::kSourceSetsSleep), {});
-  expect_counters(r.stats, {2'102, 2'583, 42, 42, 420, 388, 65}, tas.name);
+  // The bound allows two unfoldings per thread, and the drains fuse them.
+  expect_counters(r.stats, {1'521, 2'002, 42, 42, 420, 302, 65}, tas.name);
 }
 
 // --- The source-set engine's cold paths ------------------------------------------

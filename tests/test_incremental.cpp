@@ -62,6 +62,7 @@
 #include "c11/axioms.hpp"
 #include "c11/derived.hpp"
 #include "c11/observability.hpp"
+#include "helpers.hpp"
 #include "interp/config.hpp"
 #include "lang/generator.hpp"
 #include "lang/parser.hpp"
@@ -294,10 +295,10 @@ std::string granularity_tag(interp::TauCompress g) {
 }
 
 void walk_program(const lang::Program& p, std::size_t budget,
-                  const std::string& tag) {
+                  const std::string& tag, int loop_bound = 2) {
   for (const interp::TauCompress g : kGranularities) {
     interp::StepOptions opts;
-    opts.loop_bound = 2;
+    opts.loop_bound = loop_bound;
     opts.tau_compress = g;
     interp::Config c = interp::initial_config(p);
     std::size_t b = budget;
@@ -321,6 +322,32 @@ TEST(Incremental, PetersonAgreesWithOracleAtEveryStep) {
   if (::testing::Test::HasFatalFailure()) return;
   walk_program(vcgen::make_peterson_rounds(2), /*budget=*/600,
                "peterson, 2 rounds");
+}
+
+TEST(Incremental, LoopedProgramsAgreeWithOracleUpToTheBound) {
+  // The drained granularities fuse every unfolding the bound allows and
+  // keep the one at the bound out. Walks at each bound up to past a loop's
+  // natural unfold count cover fused unfoldings, unfoldings a memory
+  // step's drain takes, the bound's edge, and undo restoring unfold counts
+  // through the first-touch snapshots.
+  const lang::Program tas = lang::parse_litmus(testing::kRmwTasLock).program;
+  for (int bound = 0; bound <= 3; ++bound) {
+    walk_program(tas, /*budget=*/300,
+                 "rmw_tas_lock, loop bound " + std::to_string(bound), bound);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  // Thread 1 needs three unfoldings to leave its loop; the body is silent.
+  const lang::Program loop = lang::parse_litmus(R"(litmus register_loop
+var x = 0
+thread 1 { 1: while (r < 2) { r := r + 1; } 2: x := r; }
+thread 2 { s := x; x := 5; }
+)")
+                                 .program;
+  for (int bound = 2; bound <= 4; ++bound) {
+    walk_program(loop, /*budget=*/300,
+                 "register_loop, loop bound " + std::to_string(bound), bound);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
 }
 
 std::uint32_t fuzz_seed_base() {

@@ -289,6 +289,20 @@ TEST(Command, WhileGuardFalseTerminates) {
   EXPECT_TRUE(is_terminated(sil->next));
 }
 
+TEST(Command, UnfoldingSharesTheLoopNode) {
+  // The back edge of an unfolded loop is the loop node itself, not a copy:
+  // nodes are immutable, and drains unfold loops on the search's hot path.
+  const ComPtr c = while_do(binary(BinOp::kEq, shared(0), constant(0)),
+                            assign(1, constant(1)));
+  auto s = step(labeled(4, c), no_regs);
+  const ComPtr& unfolded = std::get<SilentStep>(*s).next;
+  ASSERT_EQ(unfolded->kind, ComKind::kLabel);
+  const ComPtr& guard = unfolded->c1;
+  ASSERT_EQ(guard->kind, ComKind::kIf);
+  ASSERT_EQ(guard->c1->kind, ComKind::kSeq);
+  EXPECT_EQ(guard->c1->c2.get(), c.get());
+}
+
 // --- Labels and pc -------------------------------------------------------------
 
 TEST(Labels, LeadingLabelThroughSeq) {

@@ -111,8 +111,8 @@ TEST(Peterson, BrokenVariantViolatesMutualExclusion) {
 
 TEST(Peterson, BrokenVariantCounterexamplesReplayToTheViolation) {
   // Both invariant searches run stutter-free, and their counterexamples
-  // say so: replayed at that granularity, each leads to a configuration
-  // with both threads at line 5.
+  // record that granularity and the loop bound: replayed with them, each
+  // leads to a configuration with both threads at line 5.
   const lang::Program p = broken_peterson();
   const mc::InvariantResult seq =
       mc::check_invariant(p, mutual_exclusion(), bounded(1));
@@ -125,9 +125,10 @@ TEST(Peterson, BrokenVariantCounterexamplesReplayToTheViolation) {
     const char* what = r == &seq ? "sequential" : "4 workers";
     ASSERT_FALSE(r->holds) << what;
     ASSERT_FALSE(r->counterexample.empty()) << what;
-    EXPECT_EQ(r->counterexample.tau_compress,
+    EXPECT_EQ(r->counterexample.step.tau_compress,
               interp::TauCompress::kStutterFree)
         << what;
+    EXPECT_EQ(r->counterexample.step.loop_bound, 1) << what;
     const auto end = mc::replay_trace(p, r->counterexample);
     ASSERT_TRUE(end.has_value())
         << what << " trace does not replay:\n"

@@ -276,7 +276,8 @@ TEST(ParallelTraces, InvariantCounterexampleReplaysToViolation) {
   ASSERT_FALSE(r.counterexample.empty());
 
   // Invariants run stutter-free.
-  EXPECT_EQ(r.counterexample.tau_compress, interp::TauCompress::kStutterFree);
+  EXPECT_EQ(r.counterexample.step.tau_compress,
+            interp::TauCompress::kStutterFree);
   const auto final_config = replay_trace(p, r.counterexample);
   ASSERT_TRUE(final_config.has_value()) << "trace does not replay";
   EXPECT_FALSE(invariant(*final_config))
@@ -300,7 +301,7 @@ exists (1:r0 == 0 && 2:r1 == 0)
 
   // The query fused silent steps; the witness says so, and replays
   // without any step options from the caller.
-  EXPECT_EQ(r.witness.tau_compress, interp::TauCompress::kFused);
+  EXPECT_EQ(r.witness.step.tau_compress, interp::TauCompress::kFused);
   const auto final_config = replay_trace(parsed.program, r.witness);
   ASSERT_TRUE(final_config.has_value()) << "witness does not replay";
   EXPECT_TRUE(final_config->terminated());
