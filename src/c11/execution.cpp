@@ -13,8 +13,14 @@ namespace rc11::c11 {
 Execution Execution::initial(
     const std::vector<std::pair<VarId, Value>>& init) {
   Execution ex;
+  const std::size_t room = init.size() + kEventRoom;
+  ex.events_.reserve(room);
+  ex.rf_.reserve(room);
+  ex.mo_.reserve(room);
+  // The cache starts invalid, so there is nothing for add_event to
+  // invalidate.
   for (auto [var, val] : init) {
-    ex.add_event(kInitThread, Action::wr(var, val));
+    ex.append_event_core(kInitThread, Action::wr(var, val));
   }
   return ex;
 }
@@ -443,9 +449,53 @@ util::Fingerprint Execution::fingerprint_uncached() const {
 
 // --- Incremental derived cache ----------------------------------------------
 
-void Execution::ensure_cache() {
-  if (cache_.valid) return;
-  Cache& c = cache_;
+bool Execution::has_initial_shape() const {
+  return max_thread_ == kInitThread && writes_.count() == events_.size() &&
+         rf_.empty() && mo_.empty();
+}
+
+Execution::Cache Execution::initial_cache(std::size_t threads) const {
+  // sigma_0 has no sb (initialising writes are unordered), no rf and no mo,
+  // so no sw, fr, hb or eco pair either, and no update covers a write.
+  // Thread 0 has executed every write, each eco?;hb?-before itself, so
+  // EW(0) holds them all; the other threads have not acted, so their EW is
+  // empty (Section 3.2). The canonical ids and lanes are compute_cids' and
+  // compute_fp_lanes' for an execution of event facts alone.
+  Cache c;
+  const std::size_t n = events_.size();
+  // Room for as many events as the event list has room for (kEventRoom
+  // past an initial() execution).
+  const std::size_t room = std::max(n, events_.capacity());
+  for (util::Relation* r : {&c.hb, &c.eco}) {
+    r->enable_inverse();
+    r->reserve(room);
+    r->resize(n);
+  }
+  c.covered = util::Bitset(n);
+  c.thread_events.assign(threads, util::Bitset(n));
+  c.thread_events[kInitThread].fill();
+  c.encountered.assign(threads, util::Bitset(n));
+  c.encountered[kInitThread] = writes_;
+  c.var_writes.assign(var_count_, util::Bitset(n));
+  c.cid.reserve(room);
+  c.cid.resize(n);
+  for (EventId e = 0; e < n; ++e) {
+    const Event& ev = events_[e];
+    util::Bitset& wx = c.var_writes[ev.var()];
+    // The write's occurrence among its variable's initialising writes.
+    const auto occ = static_cast<std::uint32_t>(wx.count());
+    wx.set(e);
+    c.cid[e] = (static_cast<std::uint64_t>(ev.var()) << 8) | (occ & 0xffu);
+    const FactHash f = event_fact(c.cid[e], ev.action);
+    c.fp_a += f.a;
+    c.fp_b += f.b;
+  }
+  c.valid = true;
+  return c;
+}
+
+Execution::Cache Execution::rebuilt_cache() const {
+  Cache c;
   const std::size_t n = events_.size();
   const DerivedRelations d = compute_derived(*this);
   c.hb = d.hb;
@@ -467,6 +517,54 @@ void Execution::ensure_cache() {
   c.cid = compute_cids();
   compute_fp_lanes(c.fp_a, c.fp_b);
   c.valid = true;
+  return c;
+}
+
+void Execution::build_cache(std::size_t threads) {
+  cache_ = has_initial_shape() ? initial_cache(threads) : rebuilt_cache();
+}
+
+void Execution::ensure_cache() {
+  if (!cache_.valid) build_cache(1);
+}
+
+std::string Execution::cache_mismatch() const {
+  if (!cache_.valid) return "invalid";
+  const Cache want = rebuilt_cache();
+  const Cache& got = cache_;
+  const std::size_t n = events_.size();
+  const auto same_relation = [](const util::Relation& a,
+                                const util::Relation& b) {
+    if (!(a == b) || !a.inverse_enabled()) return false;
+    for (std::size_t x = 0; x < a.size(); ++x) {
+      if (!(a.column_view(x) == b.column_view(x))) return false;
+    }
+    return true;
+  };
+  const auto same_slots = [&](const std::vector<util::Bitset>& a,
+                              const std::vector<util::Bitset>& b) {
+    for (std::size_t i = 0; i < std::max(a.size(), b.size()); ++i) {
+      if (i >= a.size()) return b[i].empty();
+      if (a[i].size() != n) return false;
+      if (i >= b.size() ? !a[i].empty() : !(a[i] == b[i])) return false;
+    }
+    return true;
+  };
+  if (!same_relation(got.hb, want.hb)) return "hb";
+  if (!same_relation(got.eco, want.eco)) return "eco";
+  if (got.covered.size() != n || !(got.covered == want.covered)) {
+    return "covered";
+  }
+  if (!same_slots(got.encountered, want.encountered)) return "encountered";
+  if (!same_slots(got.thread_events, want.thread_events)) {
+    return "thread events";
+  }
+  if (!same_slots(got.var_writes, want.var_writes)) return "variable writes";
+  if (got.cid != want.cid) return "canonical ids";
+  if (got.fp_a != want.fp_a || got.fp_b != want.fp_b) {
+    return "fingerprint lanes";
+  }
+  return "";
 }
 
 const util::Relation& Execution::cached_hb() {
@@ -512,8 +610,8 @@ const util::Bitset& Execution::cached_var_writes(VarId x) {
 }
 
 void Execution::reserve_cache_threads(ThreadId count) {
-  ensure_cache();
   const std::size_t want = static_cast<std::size_t>(count) + 1;
+  if (!cache_.valid) build_cache(want);
   if (cache_.encountered.size() < want) {
     cache_.encountered.resize(want, util::Bitset(events_.size()));
     cache_.thread_events.resize(want, util::Bitset(events_.size()));

@@ -27,9 +27,16 @@ class Execution {
 
   /// The initial state sigma_0 = ((I, {}), {}, {}): one initialising write
   /// per variable, executed by thread 0, unordered amongst themselves
-  /// (Section 3.1). `init` lists (variable, initial value) pairs.
+  /// (Section 3.1). `init` lists (variable, initial value) pairs. Built in
+  /// one pass, with room for kEventRoom more events; its incremental cache
+  /// is built on first use (ensure_cache).
   static Execution initial(
       const std::vector<std::pair<VarId, Value>>& init);
+
+  /// Events past sigma_0's that a search can push before its event list,
+  /// its relations and their caches need more room: a litmus-scale search
+  /// grows none of them. Copies carry no room.
+  static constexpr std::size_t kEventRoom = 64;
 
   // --- Event access -------------------------------------------------------
 
@@ -146,10 +153,26 @@ class Execution {
   /// Exact inverse of the matching push_event (LIFO).
   void pop_event(const UndoToken& tok);
 
-  /// Builds the incremental cache from the from-scratch oracles if it is
-  /// not already valid. Cheap no-op when valid.
+  /// Builds the incremental cache if it is not already valid. Cheap no-op
+  /// when valid. An execution of sigma_0's shape (initialising writes
+  /// only, no rf, no mo) gets its cache directly, in time linear in its
+  /// writes: hb = eco = {}, CW = {}, EW(0) = the initialising writes,
+  /// EW(t) = {} for t >= 1, canonical ids ordered by variable. Any other
+  /// execution, such as one changed by a raw mutation, is rebuilt from the
+  /// from-scratch oracles.
   void ensure_cache();
   [[nodiscard]] bool cache_valid() const { return cache_.valid; }
+
+  /// The first field in which the incremental cache differs from a
+  /// from-scratch rebuild (compute_derived, covered_writes,
+  /// encountered_writes, the canonical ids and the fingerprint lanes
+  /// recomputed), naming it: "hb" and "eco" (pairs and maintained
+  /// inverses), "covered", "encountered", "thread events",
+  /// "variable writes", "canonical ids" or "fingerprint lanes". Empty when
+  /// they agree in every field; "invalid" while the cache is invalid. A
+  /// per-thread or per-variable slot the rebuild lacks must be empty.
+  /// Test oracle (tests/test_incremental.cpp); rebuilds on every call.
+  [[nodiscard]] std::string cache_mismatch() const;
 
   /// The maintained hb, or null while the cache is invalid (before the
   /// first cached query, after a raw mutation). Const, so observers that
@@ -175,8 +198,10 @@ class Execution {
   [[nodiscard]] const util::Bitset& cached_thread_events(ThreadId t);
   [[nodiscard]] const util::Bitset& cached_var_writes(VarId x);
 
-  /// Grows the cached per-thread vectors (encountered / thread_events) so
-  /// every thread id up to `count` inclusive is materialised. References
+  /// Builds the cache if needed (ensure_cache) and grows the cached
+  /// per-thread vectors (encountered / thread_events) so every thread id
+  /// up to `count` inclusive is materialised; sigma_0's are built at that
+  /// width at once. References
   /// returned by cached_encountered / cached_thread_events alias vector
   /// elements; callers that hold such references across further cached_*
   /// calls (the step-enumeration loop) reserve the full program width up
@@ -355,6 +380,20 @@ class Execution {
     std::uint64_t fp_b = 0;
   };
   Cache cache_;
+
+  /// True iff the execution has sigma_0's shape: thread 0's writes only,
+  /// no rf, no mo. Its derived state is then sigma_0's, whatever the
+  /// writes (initial_cache).
+  [[nodiscard]] bool has_initial_shape() const;
+
+  /// Builds the cache, its per-thread vectors at least `threads` wide.
+  void build_cache(std::size_t threads);
+
+  /// sigma_0's cache, built directly (see ensure_cache).
+  [[nodiscard]] Cache initial_cache(std::size_t threads) const;
+
+  /// The cache recomputed by the from-scratch oracles.
+  [[nodiscard]] Cache rebuilt_cache() const;
 };
 
 }  // namespace rc11::c11

@@ -71,11 +71,11 @@ Config initial_config(const Program& p) {
   Config c;
   c.program = &p;
   c.exec = Execution::initial(p.initial_values());
-  for (ThreadId t = 1; t <= p.thread_count(); ++t) {
-    c.cont.push_back(p.thread(t));
-    c.regs.emplace_back(p.reg_count(), 0);
-    c.unfoldings.push_back(0);
-  }
+  const std::size_t threads = p.thread_count();
+  c.cont.reserve(threads);
+  for (ThreadId t = 1; t <= threads; ++t) c.cont.push_back(p.thread(t));
+  c.regs.assign(threads, RegFile(p.reg_count(), 0));
+  c.unfoldings.assign(threads, 0);
   const lang::ScFeatures feats = lang::scan_sc_features(p);
   c.has_sc = feats.has_sc;
   c.has_sc_fence = feats.has_sc_fence;
@@ -439,16 +439,19 @@ void filter_sc_steps(Config& c, std::vector<Step>& out) {
 
 }  // namespace
 
+void prepare_cache(Config& c) {
+  c.exec.reserve_cache_threads(static_cast<c11::ThreadId>(c.thread_count()));
+}
+
 void enumerate_steps(Config& c, const StepOptions& opts,
                      std::vector<Step>& out) {
   out.clear();
   c11::Execution& ex = c.exec;
-  ex.ensure_cache();
   // Pin the per-thread cache vectors to cover every program thread up
   // front: the references taken inside enumerate_thread_steps alias vector
   // elements, and a lazy grow for a not-yet-acting thread mid-enumeration
   // would invalidate them.
-  ex.reserve_cache_threads(static_cast<c11::ThreadId>(c.thread_count()));
+  prepare_cache(c);
 #ifndef NDEBUG
   const std::size_t pinned_threads = ex.cached_thread_count();
 #endif

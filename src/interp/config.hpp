@@ -211,6 +211,14 @@ struct StepUndo {
   TauCompress prev_tau_normal = TauCompress::kEveryStep;
 };
 
+/// Makes c's incremental cache valid (Execution::ensure_cache), with a
+/// slot for every program thread. sigma_0's is built directly, in time
+/// linear in the variables. The engines call it on their start
+/// configuration so that the root's fingerprint reads the maintained
+/// lanes; initial_config leaves it to them, since a configuration that is
+/// only copied never needs it.
+void prepare_cache(Config& c);
+
 /// Appends every enabled transition of c to `out` (cleared first), in the
 /// same order as successors(): each thread's transitions in turn, thread
 /// ascending. Builds the Execution's incremental cache on first use (hence

@@ -69,18 +69,28 @@ std::string Outcome::to_string(const lang::Program& p) const {
   return os.str();
 }
 
-Outcome outcome_of(const interp::Config& c, const lang::Program& program) {
-  Outcome o;
-  o.regs.reserve(c.thread_count());
-  for (const auto& file : c.regs) {
-    auto padded = file;
-    padded.resize(program.reg_count(), 0);
-    o.regs.push_back(std::move(padded));
+namespace {
+
+/// Overwrites `o` with c's final observation, reusing its buffers.
+void fill_outcome(const interp::Config& c, const lang::Program& program,
+                  Outcome& o) {
+  o.regs.resize(c.thread_count());
+  for (std::size_t t = 0; t < c.thread_count(); ++t) {
+    o.regs[t].assign(c.regs[t].begin(), c.regs[t].end());
+    o.regs[t].resize(program.reg_count(), 0);
   }
+  o.final_vars.resize(c.exec.var_count());
   for (c11::VarId x = 0; x < c.exec.var_count(); ++x) {
     const c11::EventId w = c.exec.last(x);
-    o.final_vars.push_back(w == c11::kNoEvent ? 0 : c.exec.event(w).wrval());
+    o.final_vars[x] = w == c11::kNoEvent ? 0 : c.exec.event(w).wrval();
   }
+}
+
+}  // namespace
+
+Outcome outcome_of(const interp::Config& c, const lang::Program& program) {
+  Outcome o;
+  fill_outcome(c, program, o);
   return o;
 }
 
@@ -89,9 +99,17 @@ OutcomeResult enumerate_outcomes(const lang::Program& program,
   // Reads terminated states only.
   options.step.tau_compress = interp::TauCompress::kFused;
   OutcomeResult result;
+  // Each final's observation is written into one scratch Outcome, which
+  // moves into the set only when it is new: a repeated outcome costs no
+  // allocation.
+  Outcome scratch;
   Visitor visitor;
   visitor.on_final = [&](const interp::Config& c) {
-    result.outcomes.insert(outcome_of(c, program));
+    fill_outcome(c, program, scratch);
+    const auto at = result.outcomes.lower_bound(scratch);
+    if (at == result.outcomes.end() || *at != scratch) {
+      result.outcomes.emplace_hint(at, std::move(scratch));
+    }
     return true;
   };
   result.stats = explore(program, options, visitor).stats;

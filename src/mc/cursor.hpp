@@ -23,7 +23,7 @@ namespace rc11::mc {
 
 class Cursor {
  public:
-  explicit Cursor(interp::Config start) : config_(std::move(start)) {}
+  explicit Cursor(interp::Config&& start) : config_(std::move(start)) {}
 
   /// The configuration the cursor stands on. Mutable so a caller can hand
   /// it to an API that takes a Config by reference or by move, provided it

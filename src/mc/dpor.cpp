@@ -29,14 +29,70 @@ struct Engine;
 // --- Signature bitsets -----------------------------------------------------
 //
 // Sleep sets, enabled sets and summaries are sets of SigTable ids, stored as
-// words of bits. A set's vector is only as long as its highest id needs;
-// absent words are zero.
+// words of bits. A set is only as long as its highest id needs; absent
+// words are zero.
 
-using Bits = std::vector<std::uint64_t>;
+/// A set of SigTable ids. Its first word lives inline, so a set of ids
+/// below 64 (every set of a search that meets at most 64 signatures) stays
+/// off the heap; past that, every word lives in `spill_`, whose storage a
+/// cleared set keeps for reuse.
+class Bits {
+ public:
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] const std::uint64_t* data() const {
+    return size_ > 1 ? spill_.data() : &first_;
+  }
+  [[nodiscard]] std::uint64_t* data() {
+    return size_ > 1 ? spill_.data() : &first_;
+  }
+  [[nodiscard]] std::uint64_t operator[](std::size_t w) const {
+    return data()[w];
+  }
+  std::uint64_t& operator[](std::size_t w) { return data()[w]; }
+
+  /// Words of storage held (the spilled vector's capacity once spilled),
+  /// for footprint reports.
+  [[nodiscard]] std::size_t capacity() const {
+    return size_ > 1 ? spill_.capacity() : size_;
+  }
+
+  /// Lengthens the set to `n` words, the new ones zero.
+  void grow(std::size_t n) {
+    if (n <= size_) return;
+    if (n > 1) {
+      if (size_ > 1) {
+        spill_.resize(n, 0);
+      } else {
+        spill_.assign(n, 0);
+        spill_[0] = first_;
+        first_ = 0;
+      }
+    }
+    size_ = n;
+  }
+
+  /// Makes the set a copy of the `n` words at `w`.
+  void assign(const std::uint64_t* w, std::size_t n) {
+    clear();
+    grow(n);
+    std::copy_n(w, n, data());
+  }
+
+  void clear() {
+    size_ = 0;
+    first_ = 0;
+    spill_.clear();
+  }
+
+ private:
+  std::size_t size_ = 0;
+  std::uint64_t first_ = 0;  ///< the only word while size_ <= 1, else 0
+  std::vector<std::uint64_t> spill_;  ///< every word while size_ > 1
+};
 
 void bits_set(Bits& b, std::uint32_t id) {
   const std::size_t w = id / 64;
-  if (w >= b.size()) b.resize(w + 1, 0);
+  b.grow(w + 1);
   b[w] |= std::uint64_t{1} << (id % 64);
 }
 
@@ -46,7 +102,7 @@ void bits_set(Bits& b, std::uint32_t id) {
 }
 
 void bits_or(Bits& dst, const Bits& src) {
-  if (src.size() > dst.size()) dst.resize(src.size(), 0);
+  dst.grow(src.size());
   for (std::size_t w = 0; w < src.size(); ++w) dst[w] |= src[w];
 }
 
@@ -73,10 +129,14 @@ void bits_for_each(const std::uint64_t* b, std::size_t n, Fn&& fn) {
 /// signatures is a bitset. Ids are handed out in first-met order. A
 /// signature's slot never moves (pages of doubling size), so a worker reads
 /// sig(id) for any id it was handed without the lock; interning takes the
-/// lock when the run has more than one worker.
+/// lock when the run has more than one worker. The first page and the
+/// first index live inline: a run that meets at most kFirstPage signatures
+/// allocates nothing here.
 class SigTable {
  public:
-  explicit SigTable(bool shared) : shared_(shared) { index_.assign(64, 0); }
+  explicit SigTable(bool shared) : shared_(shared) {}
+  SigTable(const SigTable&) = delete;
+  SigTable& operator=(const SigTable&) = delete;
 
   /// The ids of `sigs`, in order.
   void intern(const std::vector<StepSig>& sigs,
@@ -89,13 +149,13 @@ class SigTable {
 
   [[nodiscard]] const StepSig& sig(std::uint32_t id) const {
     const auto [page, offset] = locate(id);
-    return pages_[page][offset];
+    return page == 0 ? first_page_[offset] : pages_[page][offset];
   }
 
   [[nodiscard]] std::size_t bytes() const {
     std::unique_lock lock(mu_, std::defer_lock);
     if (shared_) lock.lock();
-    return page_bytes_ + index_.capacity() * sizeof(std::uint32_t);
+    return page_bytes_ + slot_count_ * sizeof(std::uint32_t);
   }
 
  private:
@@ -123,37 +183,51 @@ class SigTable {
   }
 
   std::uint32_t intern_locked(const StepSig& s) {
-    const std::size_t mask = index_.size() - 1;
+    const std::size_t mask = slot_count_ - 1;
     std::size_t slot = hash(s) & mask;
-    for (; index_[slot] != 0; slot = (slot + 1) & mask) {
-      if (sig(index_[slot] - 1) == s) return index_[slot] - 1;
+    for (; slots_[slot] != 0; slot = (slot + 1) & mask) {
+      if (sig(slots_[slot] - 1) == s) return slots_[slot] - 1;
     }
     const std::uint32_t id = size_++;
     const auto [page, offset] = locate(id);
-    if (!pages_[page]) {
-      pages_[page] = std::make_unique<StepSig[]>(kFirstPage << page);
-      page_bytes_ += (kFirstPage << page) * sizeof(StepSig);
-    }
-    pages_[page][offset] = s;
-    index_[slot] = id + 1;
-    if (2 * std::size_t{size_} > index_.size()) {
-      std::vector<std::uint32_t> old = std::move(index_);
-      index_.assign(old.size() * 2, 0);
-      const std::size_t m = index_.size() - 1;
-      for (const std::uint32_t e : old) {
-        if (e == 0) continue;
-        std::size_t k = hash(sig(e - 1)) & m;
-        while (index_[k] != 0) k = (k + 1) & m;
-        index_[k] = e;
+    if (offset == 0) page_bytes_ += (kFirstPage << page) * sizeof(StepSig);
+    if (page == 0) {
+      first_page_[offset] = s;
+    } else {
+      if (!pages_[page]) {
+        pages_[page] = std::make_unique<StepSig[]>(kFirstPage << page);
       }
+      pages_[page][offset] = s;
+    }
+    slots_[slot] = id + 1;
+    if (2 * std::size_t{size_} > slot_count_) {
+      std::vector<std::uint32_t> grown(slot_count_ * 2, 0);
+      const std::size_t m = grown.size() - 1;
+      for (std::size_t k = 0; k < slot_count_; ++k) {
+        const std::uint32_t e = slots_[k];
+        if (e == 0) continue;
+        std::size_t to = hash(sig(e - 1)) & m;
+        while (grown[to] != 0) to = (to + 1) & m;
+        grown[to] = e;
+      }
+      index_ = std::move(grown);
+      slots_ = index_.data();
+      slot_count_ = index_.size();
     }
     return id;
   }
 
   bool shared_;
   mutable std::mutex mu_;
+  std::array<StepSig, kFirstPage> first_page_;
+  /// Pages 1 and up, allocated as the ids reach them (pages_[0] unused).
   std::array<std::unique_ptr<StepSig[]>, 27> pages_;
-  std::vector<std::uint32_t> index_;  ///< id + 1; 0 = empty
+  /// The open-addressing index (id + 1; 0 = empty): first_index_ until the
+  /// first rehash, then index_.
+  std::array<std::uint32_t, 2 * kFirstPage> first_index_{};
+  std::vector<std::uint32_t> index_;
+  std::uint32_t* slots_ = first_index_.data();
+  std::size_t slot_count_ = first_index_.size();
   std::uint32_t size_ = 0;
   std::size_t page_bytes_ = 0;
 };
@@ -171,7 +245,8 @@ class SigTable {
 class RecordStore {
  public:
   explicit RecordStore(bool sharded)
-      : sharded_(sharded), shards_(sharded ? kShards : 1) {}
+      : sharded_(sharded),
+        shards_(sharded ? std::make_unique<Shard[]>(kShards) : nullptr) {}
 
   /// Publishes a complete visit of state `id`. The first complete visit
   /// fills the record. A later one whose sleep set is a subset of the
@@ -188,12 +263,12 @@ class RecordStore {
     const std::size_t w = sh.width;
     if (!bits_test(sh.done, static_cast<std::uint32_t>(local))) {
       bits_set(sh.done, static_cast<std::uint32_t>(local));
-      std::copy(sleep.begin(), sleep.end(), rec);
-      std::copy(enabled.begin(), enabled.end(), rec + w);
-      std::copy(summary.begin(), summary.end(), rec + 2 * w);
+      std::copy_n(sleep.data(), sleep.size(), rec);
+      std::copy_n(enabled.data(), enabled.size(), rec + w);
+      std::copy_n(summary.data(), summary.size(), rec + 2 * w);
     } else if (bits_subset(sleep.data(), sleep.size(), rec, w)) {
       std::fill(rec, rec + w, 0);
-      std::copy(sleep.begin(), sleep.end(), rec);
+      std::copy_n(sleep.data(), sleep.size(), rec);
       for (std::size_t k = 0; k < summary.size(); ++k) {
         rec[2 * w + k] |= summary[k];
       }
@@ -213,14 +288,15 @@ class RecordStore {
     const std::uint64_t* rec = sh.record(local);
     const std::size_t w = sh.width;
     if (!bits_subset(rec, w, sleep.data(), sleep.size())) return false;
-    enabled.assign(rec + w, rec + 2 * w);
-    summary.assign(rec + 2 * w, rec + 3 * w);
+    enabled.assign(rec + w, w);
+    summary.assign(rec + 2 * w, w);
     return true;
   }
 
   [[nodiscard]] std::size_t bytes() const {
     std::size_t n = 0;
-    for (const Shard& sh : shards_) {
+    for (std::size_t k = 0; k < (sharded_ ? kShards : 1); ++k) {
+      const Shard& sh = sharded_ ? shards_[k] : single_;
       std::unique_lock lock(sh.mu, std::defer_lock);
       if (sharded_) lock.lock();
       n += (sh.words.capacity() + sh.done.capacity()) * sizeof(std::uint64_t);
@@ -265,14 +341,15 @@ class RecordStore {
   };
 
   Shard& shard_of(StateId id) {
-    return shards_[sharded_ ? id & (kShards - 1) : 0];
+    return sharded_ ? shards_[id & (kShards - 1)] : single_;
   }
   [[nodiscard]] std::size_t local_of(StateId id) const {
     return static_cast<std::size_t>(sharded_ ? id >> kShardBits : id);
   }
 
   bool sharded_;
-  std::vector<Shard> shards_;
+  Shard single_;  ///< the one shard of a single-worker run
+  std::unique_ptr<Shard[]> shards_;  ///< kShards shards, when sharded
 };
 
 /// One node of the exploration tree: a step path, never a configuration.
@@ -373,6 +450,8 @@ bool contains(const std::vector<c11::ThreadId>& v, c11::ThreadId t) {
 /// test for the prefix the cursor shares with another node. Padded so
 /// neighbouring workers' cursors don't false-share.
 struct alignas(64) NodeCursor {
+  explicit NodeCursor(interp::Config&& start) : at(std::move(start)) {}
+
   Cursor at;
   std::vector<NodePtr> spine;
 };
@@ -386,7 +465,7 @@ struct alignas(64) WorkerTotals {
 };
 
 struct Engine {
-  Engine(const interp::Config& start, const ExploreOptions& opts,
+  Engine(interp::Config&& start, const ExploreOptions& opts,
          const Visitor& vis, std::size_t workers)
       : options(opts),
         visitor(vis),
@@ -397,8 +476,9 @@ struct Engine {
         sig_table(workers > 1),
         records(workers > 1) {
     cursors.reserve(workers);
-    for (std::size_t k = 0; k < workers; ++k) {
-      cursors.push_back(NodeCursor{Cursor(start), {}});
+    cursors.emplace_back(std::move(start));
+    for (std::size_t k = 1; k < workers; ++k) {
+      cursors.emplace_back(interp::Config(cursors[0].at.config()));
     }
   }
 
@@ -822,7 +902,7 @@ void expand_item(Engine& eng, std::size_t me, const Item& item) {
     // Godefroid's sleep rule at transition granularity: a sibling
     // transition stays asleep in the child iff it commutes with the taken
     // step — inherited sleep plus the earlier-executed siblings.
-    if (prefix.size() < n.sleep.size()) prefix.resize(n.sleep.size(), 0);
+    prefix.grow(n.sleep.size());
     for (std::size_t w = 0; w < n.sleep.size(); ++w) prefix[w] |= n.sleep[w];
     bits_for_each(prefix.data(), prefix.size(), [&](std::uint32_t s) {
       if (independent(eng.sig_table.sig(s), sig)) bits_set(child->sleep, s);
@@ -1002,12 +1082,12 @@ void worker_loop(Engine& eng, std::size_t me) {
 
 }  // namespace
 
-ExploreResult explore_dpor(const interp::Config& start,
+ExploreResult explore_dpor(interp::Config start,
                            const ExploreOptions& options,
                            const Visitor& visitor, std::size_t workers,
                            std::vector<WorkerStats>* worker_stats) {
   if (workers == 0) workers = 1;
-  Engine eng(start, options, visitor, workers);
+  Engine eng(std::move(start), options, visitor, workers);
   // Scheduling points are visible (memory) steps only: deterministic
   // silent/register steps, and the loop unfoldings the bound allows, never
   // branch the search and are fused into the preceding transition (an
@@ -1052,6 +1132,9 @@ ExploreResult explore_dpor(const interp::Config& start,
     // theirs.
     obs::WorkerScope obs_scope(options.telemetry, 0);
     interp::Config& config = eng.cursors[0].at.config();
+    // sigma_0's cache is built directly; the root's fingerprint reads its
+    // lanes.
+    interp::prepare_cache(config);
     root->state = eng.seen.insert(config.fingerprint()).id;
     eng.states.store(1);
     if (visitor.on_state && !visitor.on_state(config)) {

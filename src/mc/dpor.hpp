@@ -90,9 +90,10 @@ namespace rc11::mc {
 /// The engine runs the ==>_RA semantics only: `options.pre_execution` is
 /// ignored (explore_from runs a pre-execution search under sleep sets
 /// instead). A Visitor::on_transition hook costs one copy of the parent
-/// configuration per transition.
+/// configuration per transition. `start` moves into worker 0's cursor;
+/// every further worker's cursor copies it.
 [[nodiscard]] ExploreResult explore_dpor(
-    const interp::Config& start, const ExploreOptions& options,
+    interp::Config start, const ExploreOptions& options,
     const Visitor& visitor, std::size_t workers = 1,
     std::vector<WorkerStats>* worker_stats = nullptr);
 

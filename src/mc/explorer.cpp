@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "mc/dpor.hpp"
@@ -40,7 +41,7 @@ std::vector<interp::ConfigStep> expand(const interp::Config& c,
   return interp::successors(c, options.step);
 }
 
-ExploreResult explore_materialized(const interp::Config& start,
+ExploreResult explore_materialized(interp::Config start,
                                    const ExploreOptions& options,
                                    const Visitor& visitor) {
   const bool por = options.por == PorMode::kSleepSets;
@@ -111,7 +112,7 @@ ExploreResult explore_materialized(const interp::Config& start,
 
   {
     MatFrame root;
-    root.config = start;
+    root.config = std::move(start);
     if (options.dedup) {
       obs::ScopedPhase probe_phase(obs::Phase::kSeenProbe);
       root.id = seen.insert(root.config.fingerprint()).id;
@@ -230,7 +231,7 @@ struct SpineFrame {
   interp::StepUndo undo;  ///< undo record of the incoming transition
 };
 
-ExploreResult explore_incremental(const interp::Config& start,
+ExploreResult explore_incremental(interp::Config cur,
                                   const ExploreOptions& options,
                                   const Visitor& visitor) {
   const bool por = options.por == PorMode::kSleepSets;
@@ -239,7 +240,9 @@ ExploreResult explore_incremental(const interp::Config& start,
   SeenSet seen;
   std::unordered_map<StateId, SleepSet> sleep_store;
 
-  interp::Config cur = start;  // the spine configuration
+  // `cur` is the spine configuration. sigma_0's cache is built directly;
+  // the root's fingerprint reads its lanes.
+  interp::prepare_cache(cur);
 
   // Frame pool: frames at depth <= high-water mark keep their buffers.
   std::vector<SpineFrame> stack;
@@ -438,7 +441,7 @@ std::optional<PorMode> por_mode_from_name(std::string_view name) {
   return std::nullopt;
 }
 
-ExploreResult explore_from(const interp::Config& start,
+ExploreResult explore_from(interp::Config start,
                            const ExploreOptions& options,
                            const Visitor& visitor) {
   // DPOR runs tree-shaped on its own engine (dpor.cpp). That engine
@@ -446,7 +449,7 @@ ExploreResult explore_from(const interp::Config& start,
   // under sleep sets instead: that reduction keeps every state (the same
   // downgrade check_invariant applies).
   if (is_dpor(options.por) && !options.pre_execution) {
-    return explore_dpor(start, options, visitor, /*workers=*/1);
+    return explore_dpor(std::move(start), options, visitor, /*workers=*/1);
   }
   ExploreOptions opts = options;
   if (is_dpor(opts.por)) opts.por = PorMode::kSleepSets;
@@ -467,8 +470,8 @@ ExploreResult explore_from(const interp::Config& start,
   {
     obs::WorkerScope obs_scope(options.telemetry, 0);
     result = visitor.on_transition || opts.pre_execution
-                 ? explore_materialized(start, opts, visitor)
-                 : explore_incremental(start, opts, visitor);
+                 ? explore_materialized(std::move(start), opts, visitor)
+                 : explore_incremental(std::move(start), opts, visitor);
   }
   if (options.telemetry != nullptr) {
     result.phases = options.telemetry->profile() - profile_base;

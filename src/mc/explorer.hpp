@@ -132,8 +132,10 @@ struct ExploreResult {
                                     const ExploreOptions& options,
                                     const Visitor& visitor);
 
-/// Runs the search from an explicit starting configuration.
-[[nodiscard]] ExploreResult explore_from(const interp::Config& start,
+/// Runs the search from an explicit starting configuration. The engines
+/// step `start` in place (the spine, or DPOR's first cursor), so it is
+/// taken by value: a caller that moves it in pays no copy.
+[[nodiscard]] ExploreResult explore_from(interp::Config start,
                                          const ExploreOptions& options,
                                          const Visitor& visitor);
 

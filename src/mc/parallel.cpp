@@ -329,6 +329,7 @@ ExploreStats run_parallel(const lang::Program& program, ParallelRun& run) {
   const std::size_t workers = run.deques.worker_count();
   run.program = &program;
   interp::Config start = interp::initial_config(program);
+  interp::prepare_cache(start);
   const util::Fingerprint root_fp = start.fingerprint();
   const InsertResult root = run.seen.insert(root_fp);
   if (run.por_sleep) {

@@ -64,6 +64,13 @@ class Relation {
   /// allocated as spare rows for the next grow.
   void resize(std::size_t n);
 
+  /// Makes room for a universe of n elements, so growing to it allocates
+  /// no row vector (copies do not carry the room). Does not change size().
+  void reserve(std::size_t n) {
+    rows_.reserve(n);
+    if (inverse_) cols_.reserve(n);
+  }
+
   [[nodiscard]] bool contains(std::size_t a, std::size_t b) const {
     assert(a < n_ && b < n_);
     const Bitset& r = rows_[a];

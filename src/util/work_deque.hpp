@@ -6,11 +6,11 @@
 // cache-friendly); thieves take from other workers' fronts (breadth-ish,
 // good load spread). A plain mutex per deque is enough — the critical
 // sections are a couple of pointer moves, and contention concentrates on
-// distinct deques.
+// distinct deques. A deque is a vector with a moving front, so an empty
+// one holds no heap storage and a refilled one reuses its buffer.
 #pragma once
 
 #include <cstddef>
-#include <deque>
 #include <mutex>
 #include <optional>
 #include <utility>
@@ -27,17 +27,25 @@ class WorkDeques {
 
   /// Owner push to the back of `me`'s deque.
   void push_local(std::size_t me, T item) {
-    std::lock_guard lock(deques_[me].mutex);
-    deques_[me].items.push_back(std::move(item));
+    Deque& q = deques_[me];
+    std::lock_guard lock(q.mutex);
+    if (q.head > 0 && q.items.size() == q.items.capacity()) {
+      // Reclaim the stolen prefix rather than grow past it.
+      q.items.erase(q.items.begin(),
+                    q.items.begin() + static_cast<std::ptrdiff_t>(q.head));
+      q.head = 0;
+    }
+    q.items.push_back(std::move(item));
   }
 
   /// Owner pop from the back of `me`'s deque.
   [[nodiscard]] std::optional<T> pop_local(std::size_t me) {
-    std::lock_guard lock(deques_[me].mutex);
-    auto& q = deques_[me].items;
-    if (q.empty()) return std::nullopt;
-    T item = std::move(q.back());
-    q.pop_back();
+    Deque& q = deques_[me];
+    std::lock_guard lock(q.mutex);
+    if (q.items.size() == q.head) return std::nullopt;
+    T item = std::move(q.items.back());
+    q.items.pop_back();
+    q.drop_if_empty();
     return item;
   }
 
@@ -46,12 +54,11 @@ class WorkDeques {
   [[nodiscard]] std::optional<T> steal(std::size_t me) {
     const std::size_t n = deques_.size();
     for (std::size_t d = 1; d < n; ++d) {
-      const std::size_t victim = (me + d) % n;
-      std::lock_guard lock(deques_[victim].mutex);
-      auto& q = deques_[victim].items;
-      if (q.empty()) continue;
-      T item = std::move(q.front());
-      q.pop_front();
+      Deque& q = deques_[(me + d) % n];
+      std::lock_guard lock(q.mutex);
+      if (q.items.size() == q.head) continue;
+      T item = std::move(q.items[q.head++]);
+      q.drop_if_empty();
       return item;
     }
     return std::nullopt;
@@ -60,7 +67,15 @@ class WorkDeques {
  private:
   struct Deque {
     std::mutex mutex;
-    std::deque<T> items;
+    /// items[head..] are queued, oldest first; items[..head) were stolen.
+    std::vector<T> items;
+    std::size_t head = 0;
+
+    void drop_if_empty() {
+      if (items.size() != head) return;
+      items.clear();
+      head = 0;
+    }
   };
 
   std::vector<Deque> deques_;

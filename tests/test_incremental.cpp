@@ -48,6 +48,13 @@
 // A second walk pushes every candidate step *before* the Sc filter at
 // every state of the SC and fence programs and asserts that
 // sc_ok_after_push agrees with check_sc, rejections included.
+//
+// sigma_0's cache is built directly, not by closure. On every catalogue,
+// corpus and fuzz-slice program it must equal the from-scratch rebuild in
+// every field (Execution::cache_mismatch), and the root fingerprint read
+// from its lanes must equal the from-scratch one; an execution of
+// sigma_0's shape changed by add_rf or add_mo must be rebuilt from
+// scratch.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -376,6 +383,81 @@ TEST(Incremental, FuzzSweepAgreesWithOracleOn200Programs) {
     walk_program(p, /*budget=*/80, tag);
     if (::testing::Test::HasFatalFailure()) return;
   }
+}
+
+/// sigma_0's cache as the engines build it (interp::prepare_cache, at the
+/// program's width) against the from-scratch rebuild in every field, and
+/// the root fingerprint against the from-scratch one.
+void check_initial_cache(const lang::Program& p, const std::string& tag) {
+  interp::Config c = interp::initial_config(p);
+  ASSERT_FALSE(c.exec.cache_valid()) << tag << ": built before first use";
+  const util::Fingerprint from_scratch = c.fingerprint();
+  interp::prepare_cache(c);
+  ASSERT_EQ(c.exec.cache_mismatch(), "") << tag;
+  ASSERT_EQ(c.exec.cached_thread_count(), p.thread_count() + 1) << tag;
+  ASSERT_EQ(c.exec.fingerprint(), c.exec.fingerprint_uncached()) << tag;
+  ASSERT_EQ(c.fingerprint(), from_scratch) << tag;
+  check_cache(c, tag);
+}
+
+TEST(Incremental, InitialCacheEqualsTheRebuildOnEveryProgram) {
+  std::size_t programs = 0;
+  for (const auto& test : litmus::catalog()) {
+    check_initial_cache(lang::parse_litmus(test.source).program, test.name);
+    if (::testing::Test::HasFatalFailure()) return;
+    ++programs;
+  }
+  for (const litmus::ImportedTest& t : litmus::import_path(RC11_CORPUS_DIR)) {
+    check_initial_cache(lang::parse_litmus(t.source).program, t.name);
+    if (::testing::Test::HasFatalFailure()) return;
+    ++programs;
+  }
+  check_initial_cache(vcgen::make_peterson(), "peterson");
+  if (::testing::Test::HasFatalFailure()) return;
+  const std::uint32_t base = fuzz_seed_base();
+  for (std::uint32_t i = 0; i < 200; ++i) {
+    lang::GeneratorOptions o;
+    o.seed = base + i;
+    o.threads = 1 + static_cast<int>(i % 4);
+    o.vars = 1 + static_cast<int>(i % 5);
+    o.max_value = 2;
+    o.stmts_per_thread = 2;
+    o.allow_nonatomic = (i % 3) == 1;
+    o.allow_sc = (i % 4) == 2;
+    const lang::Program p = generate_program(o);
+    check_initial_cache(p, "replay with RC11_FUZZ_SEED=" +
+                               std::to_string(base + i) + "\n" +
+                               p.to_string());
+    if (::testing::Test::HasFatalFailure()) return;
+    ++programs;
+  }
+  EXPECT_GE(programs, 250u);
+}
+
+TEST(Incremental, RawMutationsOfTheInitialShapeRebuildFromScratch) {
+  const c11::VarId x = 0;
+  // Two initialising writes of x; add_mo orders them.
+  c11::Execution mo = c11::Execution::initial({{x, 0}, {x, 1}});
+  mo.ensure_cache();
+  ASSERT_EQ(mo.cache_mismatch(), "");
+  ASSERT_TRUE(mo.cached_eco().empty());
+  mo.add_mo(0, 1);
+  ASSERT_FALSE(mo.cache_valid());
+  mo.ensure_cache();
+  EXPECT_EQ(mo.cache_mismatch(), "");
+  EXPECT_TRUE(mo.cached_eco().contains(0, 1));
+
+  // Thread 0 writes only, but an update among them reads from the first
+  // write: add_rf covers that write and adds eco.
+  c11::Execution rf = c11::Execution::initial({{x, 0}});
+  const c11::EventId u = rf.add_event(c11::kInitThread, c11::Action::upd(x, 0, 1));
+  rf.ensure_cache();
+  ASSERT_EQ(rf.cache_mismatch(), "");
+  rf.add_rf(0, u);
+  rf.ensure_cache();
+  EXPECT_EQ(rf.cache_mismatch(), "");
+  EXPECT_TRUE(rf.cached_covered().test(0));
+  EXPECT_TRUE(rf.cached_eco().contains(0, u));
 }
 
 TEST(Incremental, LongDescentPastRowStorageThresholdsAgreesWithOracle) {

@@ -12,8 +12,13 @@ must win at least 9 of 10 pairs and move the median by more than that IQR.
 A metric whose median got worse than its BENCHMARK.json bound is flagged.
 
 Each run's `attempted` (timed calls) is printed, with a warning once it
-reaches 32,768: past that verdict_bench's record vector reallocates, and
-the copy shows up in peak_rss_mb. The script exits 1 when some run reports
+passes 32,768: verdict_bench keeps one record per attempted call, its
+record vector holds 32,768 at that capacity and reallocates on the next
+one, and the copy shows up in peak_rss_mb. The change's median `attempted`
+is printed as a ratio of the parent's, with both sides' IQR; a NOTE (not a
+failure) says when it lies above the parent's third quartile, since a
+change that makes jobs faster attempts more calls and may then cross the
+cliff where the parent does not. The script exits 1 when some run reports
 `"correct": false` or `failed` > 0, or produced no result line.
 
 Usage:
@@ -33,7 +38,9 @@ import statistics
 import subprocess
 import sys
 
-CLIFF = 32768  # verdictbench keeps one record per attempted call
+# verdictbench keeps one record per attempted call; its vector holds CLIFF
+# records at that capacity and reallocates on the next one.
+CLIFF = 32768
 
 
 def parse_result(stdout):
@@ -82,11 +89,38 @@ def check_run(label, result, out):
     suite_text = "-" if suite is None else f"{suite:.4f}"
     out(f"{label}: attempted {attempted:,}, correct {str(correct).lower()}, "
         f"failed {failed}, suite_s {suite_text}")
-    if attempted >= CLIFF:
-        out(f"  WARNING: {label} attempted {attempted:,} calls, at or past the "
+    if attempted > CLIFF:
+        out(f"  WARNING: {label} attempted {attempted:,} calls, past the "
             f"benchmark's {CLIFF:,}-record cliff: its peak_rss_mb includes the "
             "record vector's reallocation")
     return correct and failed == 0
+
+
+def attempted_report(pairs, out):
+    """Prints each side's median `attempted`, the change's as a ratio of the
+    parent's with both IQRs, and a NOTE when the change's median lies above
+    the parent's third quartile."""
+    sides = []
+    for side, index in (("parent", 0), ("change", 1)):
+        attempted = [int(p[index]["attempted"]) for p in pairs
+                     if p[index] is not None]
+        if not attempted:
+            return
+        q1, med, q3 = quartiles(attempted)
+        note = "" if med <= CLIFF else "  (median past the cliff)"
+        out(f"{side} attempted: median {med:,.0f}, IQR {q3 - q1:,.0f}, "
+            f"max {max(attempted):,}{note}")
+        sides.append((q1, med, q3))
+    (_, pmed, pq3), (cq1, cmed, cq3) = sides
+    ratio = cmed / pmed if pmed else float("inf")
+    out(f"attempted ratio change/parent: {ratio:.3f} (parent IQR "
+        f"{pq3 - sides[0][0]:,.0f}, change IQR {cq3 - cq1:,.0f})")
+    if cmed > pq3:
+        out(f"  NOTE: the change's median attempted ({cmed:,.0f}) lies above "
+            f"the parent's third quartile ({pq3:,.0f}): faster jobs mean more "
+            f"calls per run, and past {CLIFF:,} verdict_bench's record vector "
+            "reallocates, which raises peak_rss_mb although the library did "
+            "not grow (a derived run read 14.11 -> 16.59 MB that way)")
 
 
 def analyze(pairs, bounds, out=print):
@@ -96,14 +130,7 @@ def analyze(pairs, bounds, out=print):
     for i, (parent, change) in enumerate(pairs, start=1):
         ok &= check_run(f"pair {i} parent", parent, out)
         ok &= check_run(f"pair {i} change", change, out)
-    for side, index in (("parent", 0), ("change", 1)):
-        attempted = [int(p[index]["attempted"]) for p in pairs
-                     if p[index] is not None]
-        if attempted:
-            med = statistics.median(attempted)
-            note = "" if med < CLIFF else "  (median at or past the cliff)"
-            out(f"{side} attempted: median {med:,.0f}, max {max(attempted):,}"
-                f"{note}")
+    attempted_report(pairs, out)
 
     out("")
     out(f"{'metric':<20} {'parent q1/med/q3':>29}  {'change q1/med/q3':>29}  "
@@ -196,7 +223,25 @@ def self_test():
 
     cliff = [(line(0.1, 14.1), line(0.1, 14.1, attempted=CLIFF))]
     code, text = report(cliff)
-    expect("a run at the cliff warns", "WARNING: pair 1 change" in text)
+    expect("a run at the cliff's capacity does not warn", "WARNING" not in text)
+    cliff = [(line(0.1, 14.1), line(0.1, 14.1, attempted=CLIFF + 1))]
+    code, text = report(cliff)
+    expect("a run one past the cliff warns", "WARNING: pair 1 change" in text)
+
+    # Parent attempted 20,000..20,900 (q3 20,675); the change 24,000.
+    more = [(line(0.1, 14.1, attempted=20000 + 100 * i),
+             line(0.09, 14.1, attempted=24000)) for i in range(10)]
+    code, text = report(more)
+    expect("the attempted ratio is printed",
+           "attempted ratio change/parent: 1.174" in text)
+    expect("both sides' attempted IQRs are printed",
+           "parent attempted: median 20,450, IQR 450" in text
+           and "change attempted: median 24,000, IQR 0" in text)
+    expect("a change attempting above the parent's q3 gets a NOTE",
+           "NOTE: the change's median attempted (24,000)" in text)
+    expect("a NOTE alone exits 0", code == 0)
+    code, text = report(gain)
+    expect("equal attempted counts get no NOTE", "NOTE" not in text)
 
     wrong = [(line(0.1, 14.1), line(0.1, 14.1, correct=False))]
     expect("an incorrect run exits 1", report(wrong)[0] == 1)
